@@ -247,28 +247,28 @@ func BenchmarkFig9b(b *testing.B) {
 		[]string{"ktree", "ktree-slack", "ktree-hotspot"})
 }
 
+// runWorld replays the benchmark workload through one default (single
+// worker, inline) dispatch engine and checks its invariants.
+func runWorld(b *testing.B, w *benchWorld, algo sim.Algorithm, servers, capacity int) *sim.Metrics {
+	m, err := exp.Simulate(sim.Config{
+		Graph:     w.g,
+		Oracle:    w.oracle,
+		Servers:   servers,
+		Capacity:  capacity,
+		Algorithm: algo,
+		Seed:      9,
+	}, w.reqs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m
+}
+
 // simBenchmark replays the benchmark workload through one configuration.
 func simBenchmark(b *testing.B, algo sim.Algorithm, servers, capacity int) {
 	w := getWorld(b, 2)
 	for i := 0; i < b.N; i++ {
-		s, err := sim.New(sim.Config{
-			Graph:     w.g,
-			Oracle:    w.oracle,
-			Servers:   servers,
-			Capacity:  capacity,
-			Algorithm: algo,
-			Seed:      9,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := s.Run(w.reqs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if m.Violations != 0 {
-			b.Fatalf("service violations: %d", m.Violations)
-		}
+		m := runWorld(b, w, algo, servers, capacity)
 		b.ReportMetric(float64(m.ACRT().Nanoseconds()), "acrt-ns")
 	}
 }
@@ -658,22 +658,7 @@ func BenchmarkBatchConflictRepair(b *testing.B) {
 func BenchmarkOccupancy(b *testing.B) {
 	w := getWorld(b, 2)
 	for i := 0; i < b.N; i++ {
-		s, err := sim.New(sim.Config{
-			Graph:     w.g,
-			Oracle:    w.oracle,
-			Servers:   8,
-			Capacity:  0,
-			Algorithm: sim.AlgoTreeHotspot,
-			Seed:      9,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := s.Run(w.reqs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		max, mean, top := m.OccupancyStats()
+		max, mean, top := runWorld(b, w, sim.AlgoTreeHotspot, 8, 0).OccupancyStats()
 		b.ReportMetric(float64(max), "peak-max")
 		b.ReportMetric(mean, "peak-mean")
 		b.ReportMetric(top, "peak-top20")

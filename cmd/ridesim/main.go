@@ -6,9 +6,11 @@
 //	ridesim -scale 0.02 -servers 2000 -workers 4 -producers 8 -arrival surge
 //
 // Without -graph/-trips it generates a synthetic city and workload at the
-// requested scale. With -workers/-shards the sharded concurrent dispatch
-// engine (internal/dispatch) replaces the sequential matching loop; -batch
-// additionally matches requests in fixed windows instead of on arrival.
+// requested scale. Every run goes through the dispatch engine
+// (internal/dispatch): -workers sizes its trial worker pool (one worker,
+// the default, runs the shards inline with no pool), -shards partitions
+// the fleet, and -batch matches requests in fixed windows instead of on
+// arrival; worker and shard counts change throughput, never assignments.
 // Caching backends ("+lru") run all shards against one fleet-wide shared
 // distance cache (cache.Shared); -dist-cache/-path-cache/-cache-stripes
 // size it, and the end-of-run summary reports its hit rates.
@@ -37,6 +39,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -62,7 +65,6 @@ type options struct {
 	graphPath    string
 	tripsPath    string
 	servers      int
-	fleet        int
 	autoTune     bool
 	capacity     int
 	waitMin      float64
@@ -93,44 +95,49 @@ type options struct {
 	traceCap     int
 }
 
-func main() {
-	var o options
-	flag.Float64Var(&o.scale, "scale", 0.02, "synthetic world scale when no -graph is given")
-	flag.StringVar(&o.graphPath, "graph", "", "road network file (RNG1 format, see genmap)")
-	flag.StringVar(&o.tripsPath, "trips", "", "trip CSV (see gentrips); requires -graph")
-	flag.IntVar(&o.servers, "servers", 200, "fleet size")
-	flag.IntVar(&o.fleet, "fleet", 0, "fleet size (overrides -servers; convenience for city-scale runs)")
-	flag.BoolVar(&o.autoTune, "auto-tune", false, "derive shard count and grid cell size from fleet size and graph extent")
-	flag.IntVar(&o.capacity, "capacity", 4, "vehicle capacity (0 = unlimited)")
-	flag.Float64Var(&o.waitMin, "wait", 10, "waiting-time constraint in minutes")
-	flag.Float64Var(&o.epsPct, "eps", 20, "service constraint in percent extra ride")
-	flag.StringVar(&o.algoName, "algo", "ktree-slack", "matching algorithm: ktree, ktree-slack, ktree-hotspot, bruteforce, branchbound, mip")
-	flag.Float64Var(&o.theta, "theta", 300, "hotspot radius in meters (ktree-hotspot)")
-	flag.BoolVar(&o.lazy, "lazy", false, "use lazy tree invalidation (paper §IV-A)")
-	flag.StringVar(&o.oracleSel, "oracle", "bidij+lru", "shortest-path backend: dijkstra, bidij, astar, alt, arcflags, hublabels, bidij+lru")
-	flag.Int64Var(&o.seed, "seed", 1, "random seed")
-	flag.BoolVar(&o.artOut, "art", false, "print the ART-by-request-count breakdown")
-	flag.BoolVar(&o.jsonOut, "json", false, "emit metrics as JSON instead of text")
-	flag.IntVar(&o.workers, "workers", 0, "trial worker-pool size; >1 (or -shards/-batch) selects the concurrent dispatch engine")
-	flag.IntVar(&o.shards, "shards", 0, "fleet partitions for the dispatch engine (default: one per worker)")
-	flag.Float64Var(&o.batchWin, "batch", 0, "batch window in seconds; 0 matches each request on arrival")
-	flag.IntVar(&o.distEntries, "dist-cache", cache.DefaultDistEntries, "distance-cache capacity in entries (caching backends)")
-	flag.IntVar(&o.pathEntries, "path-cache", cache.DefaultPathEntries, "path-cache capacity in entries (caching backends)")
-	flag.IntVar(&o.cacheStripes, "cache-stripes", 0, "stripe count of the shared distance cache (0 = default, dispatch engine only)")
-	flag.IntVar(&o.producers, "producers", 0, "concurrent request producers; >0 routes the stream through the ingress gateway")
-	flag.IntVar(&o.queueDepth, "queue-depth", 256, "per-shard ingress queue capacity")
-	flag.StringVar(&o.shedPolicy, "shed-policy", "block", "ingress backpressure policy: block, shed-oldest, deadline, adaptive")
-	flag.DurationVar(&o.slo, "slo", 500*time.Millisecond, "wall-clock ingress residence SLO defended by the adaptive admission controller")
-	flag.Float64Var(&o.sloObjective, "slo-objective", 0.99, "fraction of requests that must meet -slo; drives the error-budget burn account (gateway runs)")
-	flag.StringVar(&o.faultPlan, "fault-plan", "", "deterministic fault-injection plan: none, "+strings.Join(faults.PlanNames(), ", "))
-	flag.StringVar(&o.arrival, "arrival", "", "streaming workload pattern: poisson, surge, hotspot (default: replay the built trace)")
-	flag.StringVar(&o.obsAddr, "obs-addr", "", "serve live /metrics JSON and /debug/pprof on this address (e.g. localhost:6060, :0)")
-	flag.DurationVar(&o.obsInterval, "obs-interval", 0, "write interval progress snapshots to stderr as JSON lines (0 = off)")
-	flag.StringVar(&o.traceOut, "trace-out", "", "drain the request lifecycle trace to this JSONL file at end of run")
-	flag.IntVar(&o.traceCap, "trace-cap", 0, "per-ring trace retention in events (0 = default)")
-	flag.Parse()
+// defineFlags registers every ridesim flag on fs; the returned options are
+// filled in when fs is parsed.
+func defineFlags(fs *flag.FlagSet) *options {
+	o := new(options)
+	fs.Float64Var(&o.scale, "scale", 0.02, "synthetic world scale when no -graph is given")
+	fs.StringVar(&o.graphPath, "graph", "", "road network file (RNG1 format, see genmap)")
+	fs.StringVar(&o.tripsPath, "trips", "", "trip CSV (see gentrips); requires -graph")
+	fs.IntVar(&o.servers, "servers", 200, "fleet size")
+	fs.BoolVar(&o.autoTune, "auto-tune", false, "derive shard count and grid cell size from fleet size and graph extent")
+	fs.IntVar(&o.capacity, "capacity", 4, "vehicle capacity (0 = unlimited)")
+	fs.Float64Var(&o.waitMin, "wait", 10, "waiting-time constraint in minutes")
+	fs.Float64Var(&o.epsPct, "eps", 20, "service constraint in percent extra ride")
+	fs.StringVar(&o.algoName, "algo", "ktree-slack", "matching algorithm: ktree, ktree-slack, ktree-hotspot, bruteforce, branchbound, mip")
+	fs.Float64Var(&o.theta, "theta", 300, "hotspot radius in meters (ktree-hotspot)")
+	fs.BoolVar(&o.lazy, "lazy", false, "use lazy tree invalidation (paper §IV-A)")
+	fs.StringVar(&o.oracleSel, "oracle", "bidij+lru", "shortest-path backend: dijkstra, bidij, astar, alt, arcflags, hublabels, bidij+lru")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed")
+	fs.BoolVar(&o.artOut, "art", false, "print the ART-by-request-count breakdown")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit metrics as JSON instead of text")
+	fs.IntVar(&o.workers, "workers", 0, "trial worker-pool size (default 1: the shards run inline, no pool)")
+	fs.IntVar(&o.shards, "shards", 0, "fleet partitions (default: one per worker)")
+	fs.Float64Var(&o.batchWin, "batch", 0, "batch window in seconds; 0 matches each request on arrival")
+	fs.IntVar(&o.distEntries, "dist-cache", cache.DefaultDistEntries, "distance-cache capacity in entries (caching backends)")
+	fs.IntVar(&o.pathEntries, "path-cache", cache.DefaultPathEntries, "path-cache capacity in entries (caching backends)")
+	fs.IntVar(&o.cacheStripes, "cache-stripes", 0, "stripe count of the shared distance cache (0 = default; caching backends)")
+	fs.IntVar(&o.producers, "producers", 0, "concurrent request producers; >0 routes the stream through the ingress gateway")
+	fs.IntVar(&o.queueDepth, "queue-depth", 256, "per-shard ingress queue capacity")
+	fs.StringVar(&o.shedPolicy, "shed-policy", "block", "ingress backpressure policy: block, shed-oldest, deadline, adaptive")
+	fs.DurationVar(&o.slo, "slo", 500*time.Millisecond, "wall-clock ingress residence SLO defended by the adaptive admission controller")
+	fs.Float64Var(&o.sloObjective, "slo-objective", 0.99, "fraction of requests that must meet -slo; drives the error-budget burn account (gateway runs)")
+	fs.StringVar(&o.faultPlan, "fault-plan", "", "deterministic fault-injection plan: none, "+strings.Join(faults.PlanNames(), ", "))
+	fs.StringVar(&o.arrival, "arrival", "", "streaming workload pattern: poisson, surge, hotspot (default: replay the built trace)")
+	fs.StringVar(&o.obsAddr, "obs-addr", "", "serve live /metrics JSON and /debug/pprof on this address (e.g. localhost:6060, :0)")
+	fs.DurationVar(&o.obsInterval, "obs-interval", 0, "write interval progress snapshots to stderr as JSON lines (0 = off)")
+	fs.StringVar(&o.traceOut, "trace-out", "", "drain the request lifecycle trace to this JSONL file at end of run")
+	fs.IntVar(&o.traceCap, "trace-cap", 0, "per-ring trace retention in events (0 = default)")
+	return o
+}
 
-	if err := run(o); err != nil {
+func main() {
+	o := defineFlags(flag.CommandLine)
+	flag.Parse()
+	if err := run(*o, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ridesim:", err)
 		os.Exit(1)
 	}
@@ -148,37 +155,63 @@ func parseAlgo(name string) (sim.Algorithm, error) {
 	return 0, fmt.Errorf("unknown algorithm %q", name)
 }
 
-// buildEngine constructs the selected shortest-path backend over g and
-// reports whether the selection asked for the LRU caching layer on top.
-func buildEngine(name string, g *roadnet.Graph) (engine func() sp.Oracle, cached bool, err error) {
+// parseOracle resolves an -oracle name to a constructor of per-shard
+// backends over a graph, and reports whether the selection asked for the
+// LRU caching layer on top.
+func parseOracle(name string) (backend func(*roadnet.Graph) sp.Oracle, cached bool, err error) {
 	switch name {
 	case "dijkstra":
-		return func() sp.Oracle { return sp.NewDijkstra(g) }, false, nil
+		return func(g *roadnet.Graph) sp.Oracle { return sp.NewDijkstra(g) }, false, nil
 	case "bidij":
-		return func() sp.Oracle { return sp.NewBidirectional(g) }, false, nil
+		return func(g *roadnet.Graph) sp.Oracle { return sp.NewBidirectional(g) }, false, nil
 	case "astar":
-		return func() sp.Oracle { return sp.NewAStar(g) }, false, nil
+		return func(g *roadnet.Graph) sp.Oracle { return sp.NewAStar(g) }, false, nil
 	case "alt":
-		return func() sp.Oracle { return sp.NewALT(g, 8) }, false, nil
+		return func(g *roadnet.Graph) sp.Oracle { return sp.NewALT(g, 8) }, false, nil
 	case "arcflags":
-		return func() sp.Oracle { return sp.NewArcFlags(g, 6) }, false, nil
+		return func(g *roadnet.Graph) sp.Oracle { return sp.NewArcFlags(g, 6) }, false, nil
 	case "hublabels":
-		// Built once and shared: HubLabels is an sp.SharedOracle.
-		hl := sp.NewHubLabels(g)
-		return func() sp.Oracle { return hl }, false, nil
+		// Built on first use and then shared by every shard: HubLabels is
+		// an sp.SharedOracle. (The engine builds its shard oracles from one
+		// goroutine, so the lazy build needs no lock.)
+		var hl *sp.HubLabels
+		return func(g *roadnet.Graph) sp.Oracle {
+			if hl == nil {
+				hl = sp.NewHubLabels(g)
+			}
+			return hl
+		}, false, nil
 	case "bidij+lru":
-		return func() sp.Oracle { return sp.NewBidirectional(g) }, true, nil
+		return func(g *roadnet.Graph) sp.Oracle { return sp.NewBidirectional(g) }, true, nil
 	}
 	return nil, false, fmt.Errorf("unknown oracle %q", name)
 }
 
-func run(o options) error {
+// run executes one simulation and writes its report to stdout.
+func run(o options, stdout io.Writer) error {
+	// Every enumerated flag value is parsed before any work, so a typo
+	// fails fast with nothing on stdout and no listener opened.
 	algo, err := parseAlgo(o.algoName)
 	if err != nil {
 		return err
 	}
-	if o.fleet > 0 {
-		o.servers = o.fleet
+	backend, cached, err := parseOracle(o.oracleSel)
+	if err != nil {
+		return err
+	}
+	policy, err := ingest.ParsePolicy(o.shedPolicy)
+	if err != nil {
+		return err
+	}
+	plan, err := faults.ParsePlan(o.faultPlan)
+	if err != nil {
+		return err
+	}
+	var pattern workload.Pattern
+	if o.arrival != "" {
+		if pattern, err = workload.ParsePattern(o.arrival); err != nil {
+			return err
+		}
 	}
 
 	var g *roadnet.Graph
@@ -248,7 +281,7 @@ func run(o options) error {
 		}
 		defer srv.Close()
 		if !o.jsonOut {
-			fmt.Printf("observability: /metrics (JSON + Prometheus) and /debug/pprof/ on http://%s\n", srv.Addr())
+			fmt.Fprintf(stdout, "observability: /metrics (JSON + Prometheus) and /debug/pprof/ on http://%s\n", srv.Addr())
 		}
 	}
 	if o.obsInterval > 0 {
@@ -262,10 +295,6 @@ func run(o options) error {
 	var src ingest.Source
 	var genErr func() error // post-run check: did the stream end abnormally?
 	if o.arrival != "" {
-		pattern, err := workload.ParsePattern(o.arrival)
-		if err != nil {
-			return err
-		}
 		trips := len(reqs)
 		if trips == 0 {
 			trips = 2000
@@ -292,17 +321,12 @@ func run(o options) error {
 
 	if !o.jsonOut {
 		if src != nil && o.arrival != "" {
-			fmt.Printf("network: %d vertices, %d edges; streaming %s arrivals; fleet %d x capacity %d; algo %s\n",
+			fmt.Fprintf(stdout, "network: %d vertices, %d edges; streaming %s arrivals; fleet %d x capacity %d; algo %s\n",
 				g.N(), g.M(), o.arrival, o.servers, o.capacity, algo)
 		} else {
-			fmt.Printf("network: %d vertices, %d edges; %d requests; fleet %d x capacity %d; algo %s\n",
+			fmt.Fprintf(stdout, "network: %d vertices, %d edges; %d requests; fleet %d x capacity %d; algo %s\n",
 				g.N(), g.M(), len(reqs), o.servers, o.capacity, algo)
 		}
-	}
-
-	engine, cached, err := buildEngine(o.oracleSel, g)
-	if err != nil {
-		return err
 	}
 
 	// -fault-plan arms the injector. Its oracle hooks sit ABOVE the cache
@@ -310,10 +334,6 @@ func run(o options) error {
 	// the bounded-retry facade; worker hooks ride cfg.Faults; producer
 	// hooks are handed out by DriveInjected. A nil injector leaves every
 	// seam bit-identical to the unhooked pipeline.
-	plan, err := faults.ParsePlan(o.faultPlan)
-	if err != nil {
-		return err
-	}
 	var inj *faults.Injector
 	if plan.Enabled() {
 		inj = faults.New(plan)
@@ -348,89 +368,58 @@ func run(o options) error {
 		Faults:           inj,
 	}
 
-	var m *sim.Metrics
-	var ds ingest.DriveStats
-	var wall time.Duration
 	// Allocation accounting for the tuning summary: deltas cover engine
 	// construction plus the run.
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
-	if o.workers > 1 || o.shards > 1 || o.batchWin > 0 {
-		var eng *dispatch.Engine
-		if cached {
-			// One fleet-wide shared distance cache; each shard gets a
-			// facade with a private path cache and inner engine. The fault
-			// wrap goes around each shard's facade, not the backend, so a
-			// degraded lookup can never poison a cache entry.
-			shared := cache.NewShared(engine, g.N(), o.distEntries, o.pathEntries, o.cacheStripes)
-			cfg.Oracle = shared
-			if inj != nil {
-				eng, err = dispatch.New(cfg, func() sp.Oracle { return wrapFault(shared.NewWorkerOracle()) })
-			} else {
-				eng, err = dispatch.New(cfg, nil)
-			}
-		} else {
-			// Uncached backends supply one oracle per shard; for a
-			// SharedOracle backend (hublabels) every call returns the
-			// same safely-shared instance.
-			eng, err = dispatch.New(cfg, func() sp.Oracle { return wrapFault(engine()) })
-		}
-		if err != nil {
-			return err
-		}
-		defer eng.Close()
-		if !o.jsonOut {
-			fmt.Printf("dispatch engine: %d workers, %d shards, batch window %gs\n",
-				eng.Workers(), eng.Shards(), o.batchWin)
-		}
-		if o.producers > 0 {
-			m, ds, wall, err = runGateway(o, inj, eng.Shards(), cfg.WaitSeconds, tracer, live, slo, src,
-				func(r sim.Request) { eng.Enqueue(r) },
-				func() error { eng.Flush(); return eng.Drain() },
-				eng.Metrics)
-			if err != nil {
-				return err
-			}
-		} else {
-			start := time.Now()
-			m, err = eng.Run(reqs)
-			wall = time.Since(start)
-			if err != nil {
-				return err
-			}
-		}
-		if err := eng.CheckInvariants(); err != nil {
-			return fmt.Errorf("invariant violated: %w", err)
-		}
+
+	// One oracle per shard. A caching backend shares one fleet-wide
+	// distance cache, each shard getting a facade with a private path cache
+	// and inner engine; an uncached one builds a private backend per shard
+	// (or, for a SharedOracle like hublabels, hands every shard the same
+	// instance). The fault wrap goes around each shard's oracle, above any
+	// cache, so a degraded lookup can never poison a cache entry.
+	shardOracle := func() sp.Oracle { return backend(g) }
+	if cached {
+		shardOracle = cache.NewShared(shardOracle, g.N(), o.distEntries, o.pathEntries, o.cacheStripes).NewWorkerOracle
+	}
+	eng, err := dispatch.New(cfg, func() sp.Oracle { return wrapFault(shardOracle()) })
+	if err != nil {
+		return err
+	}
+	defer eng.Close()
+	if !o.jsonOut {
+		fmt.Fprintf(stdout, "engine: %d workers, %d shards, batch window %gs\n",
+			eng.Workers(), eng.Shards(), o.batchWin)
+	}
+
+	var m *sim.Metrics
+	var ds ingest.DriveStats
+	start := time.Now()
+	if o.producers > 0 {
+		// One bounded admission queue per engine shard (keyed by
+		// dispatch.ShardIndex), the configured backpressure policy, and the
+		// fleet waiting-time window for deadline shedding.
+		gw := ingest.New(ingest.Config{
+			Queues:      eng.Shards(),
+			Depth:       o.queueDepth,
+			Policy:      policy,
+			WaitSeconds: cfg.WaitSeconds,
+			WallSLO:     o.slo,
+			SLO:         slo,
+			Trace:       tracer,
+			Live:        live,
+		})
+		m, ds, err = ingest.Run(gw, eng, src, o.producers, inj)
 	} else {
-		if cached {
-			cfg.Oracle = wrapFault(cache.New(engine(), g.N(), o.distEntries, o.pathEntries))
-		} else {
-			cfg.Oracle = wrapFault(engine())
-		}
-		s, err := sim.New(cfg)
-		if err != nil {
-			return err
-		}
-		if o.producers > 0 {
-			m, ds, wall, err = runGateway(o, inj, 1, cfg.WaitSeconds, tracer, live, slo, src,
-				func(r sim.Request) { s.Submit(r) },
-				s.Drain,
-				s.Metrics)
-			if err != nil {
-				return err
-			}
-		} else {
-			start := time.Now()
-			m, err = s.Run(reqs)
-			wall = time.Since(start)
-			if err != nil {
-				return err
-			}
-		}
-		if err := s.CheckInvariants(); err != nil {
-			return fmt.Errorf("invariant violated: %w", err)
-		}
+		m, err = eng.Run(reqs)
+	}
+	wall := time.Since(start)
+	if err != nil {
+		return err
+	}
+	if err := eng.CheckInvariants(); err != nil {
+		return fmt.Errorf("invariant violated: %w", err)
 	}
 
 	// A streamed generator ends its stream silently from the driver's
@@ -458,18 +447,18 @@ func run(o options) error {
 			return fmt.Errorf("trace drain: %w", derr)
 		}
 		if !o.jsonOut {
-			fmt.Printf("trace: %d records (events + spans) -> %s (%d dropped by ring caps)\n", written, o.traceOut, dropped)
+			fmt.Fprintf(stdout, "trace: %d records (events + spans) -> %s (%d dropped by ring caps)\n", written, o.traceOut, dropped)
 		}
 	}
 
 	if o.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(m.Snapshot())
 	}
-	fmt.Printf("\n%s\nwall time: %v\n", m, wall.Round(time.Millisecond))
+	fmt.Fprintf(stdout, "\n%s\nwall time: %v\n", m, wall.Round(time.Millisecond))
 	max, mean, top := m.OccupancyStats()
-	fmt.Printf("occupancy: max=%d mean=%.2f top20%%=%.2f\n", max, mean, top)
+	fmt.Fprintf(stdout, "occupancy: max=%d mean=%.2f top20%%=%.2f\n", max, mean, top)
 	tunedBy := "configured"
 	if m.AutoTuned {
 		tunedBy = "auto-tuned"
@@ -480,106 +469,46 @@ func run(o options) error {
 	if m.Requests > 0 {
 		bytesPerReq = float64(allocBytes) / float64(m.Requests)
 	}
-	fmt.Printf("tuning (%s): %d shards, cell size %.0f m; alloc %.1f MB / %d objects (%.0f B/req); GC pause total %v\n",
+	fmt.Fprintf(stdout, "tuning (%s): %d shards, cell size %.0f m; alloc %.1f MB / %d objects (%.0f B/req); GC pause total %v\n",
 		tunedBy, m.TunedShards, m.TunedCellSize,
 		float64(allocBytes)/(1<<20), allocObjs, bytesPerReq,
 		time.Duration(ms1.PauseTotalNs-ms0.PauseTotalNs).Round(time.Microsecond))
 	if o.batchWin > 0 {
-		fmt.Printf("batch repair: %d conflicts repaired incrementally, %d retrial insertions saved vs full re-fan-out\n",
+		fmt.Fprintf(stdout, "batch repair: %d conflicts repaired incrementally, %d retrial insertions saved vs full re-fan-out\n",
 			m.ConflictsRepaired, m.RetrialTrialsSaved)
 	}
 	if o.producers > 0 {
-		fmt.Printf("ingress: %d producers, policy %s, queue depth %d; admitted %d, shed %d (overflow %d, deadline %d, adaptive %d); queue peak %d; wait mean %v p99 %v\n",
+		fmt.Fprintf(stdout, "ingress: %d producers, policy %s, queue depth %d; admitted %d, shed %d (overflow %d, deadline %d, adaptive %d); queue peak %d; wait mean %v p99 %v\n",
 			o.producers, o.shedPolicy, o.queueDepth,
 			m.Admitted, m.Shed(), m.ShedOverflow, m.ShedDeadline, m.ShedAdaptive,
 			m.IngressQueuePeak,
 			m.IngressWaitMean().Round(time.Microsecond), m.IngressWaitP99().Round(time.Microsecond))
 		if o.shedPolicy == "adaptive" {
-			fmt.Printf("admission: SLO %v; shed level peak %d‰, %d controller transitions\n",
+			fmt.Fprintf(stdout, "admission: SLO %v; shed level peak %d‰, %d controller transitions\n",
 				o.slo, m.AdmissionShedPeakPM, m.AdmissionTransitions)
 		}
 		if slo != nil {
 			snap := slo.Snapshot()
-			fmt.Printf("slo: objective %.2f%% within %v; good %d, bad %d; error budget consumed %.1f%%; burn %.2fx\n",
+			fmt.Fprintf(stdout, "slo: objective %.2f%% within %v; good %d, bad %d; error budget consumed %.1f%%; burn %.2fx\n",
 				m.SLOObjective*100, o.slo, m.SLOGood, m.SLOBad, m.SLOBudgetConsumed()*100, snap.BurnRate)
 		}
 	}
 	if inj != nil {
-		fmt.Printf("faults: plan %s; %s\n", plan.Name, inj.Stats())
+		fmt.Fprintf(stdout, "faults: plan %s; %s\n", plan.Name, inj.Stats())
 		if o.producers > 0 {
-			fmt.Printf("drive: sourced %d, submitted %d, dropped %d, discarded %d\n",
+			fmt.Fprintf(stdout, "drive: sourced %d, submitted %d, dropped %d, discarded %d\n",
 				ds.Sourced, ds.Submitted, ds.Dropped, ds.Discarded)
 		}
 	}
-	printCacheStats(m)
+	printCacheStats(stdout, m)
 	if o.artOut {
-		fmt.Println("\nART by scheduled requests:")
+		fmt.Fprintln(stdout, "\nART by scheduled requests:")
 		for _, b := range m.ARTBuckets() {
 			d, n := m.ART(b)
-			fmt.Printf("  %2d requests: %10v  (%d trials)\n", b, d, n)
+			fmt.Fprintf(stdout, "  %2d requests: %10v  (%d trials)\n", b, d, n)
 		}
 	}
 	return nil
-}
-
-// runGateway is the shared gateway-run protocol for both engines: stream
-// src through the ingress gateway from o.producers goroutines into sink,
-// drain the matcher behind it, and fold the gateway's ingress counters
-// into the matcher's metrics. The wall time covers submission through the
-// matcher's drain. The drive error is collected through a channel rather
-// than discarded: an injected (or real) producer panic is reported after
-// the drain instead of being lost in a dead goroutine — Drive's recovery
-// path closes the panicked producer's watermark, so the drain itself
-// never deadlocks on it.
-func runGateway(o options, inj *faults.Injector, queues int, waitSeconds float64, tracer *obs.Tracer, live *obs.Live, slo *obs.SLOTracker,
-	src ingest.Source, sink func(sim.Request), drain func() error, metrics func() *sim.Metrics,
-) (*sim.Metrics, ingest.DriveStats, time.Duration, error) {
-	gw, err := newGateway(o, queues, waitSeconds, tracer, live, slo)
-	if err != nil {
-		return nil, ingest.DriveStats{}, 0, err
-	}
-	start := time.Now()
-	var ds ingest.DriveStats
-	done := make(chan error, 1)
-	go func() {
-		var derr error
-		ds, derr = ingest.DriveInjected(gw, src, o.producers, inj)
-		done <- derr
-	}()
-	gw.Drain(sink)
-	driveErr := <-done
-	derr := drain()
-	wall := time.Since(start)
-	m := metrics()
-	gw.MetricsInto(m)
-	if driveErr != nil {
-		return nil, ds, 0, fmt.Errorf("ingress drive: %w", driveErr)
-	}
-	if derr != nil {
-		return nil, ds, 0, derr
-	}
-	return m, ds, wall, nil
-}
-
-// newGateway builds the ingress gateway for this run: one bounded
-// admission queue per engine shard (keyed by dispatch.ShardIndex), the
-// configured backpressure policy, and the fleet waiting-time window for
-// deadline shedding.
-func newGateway(o options, queues int, waitSeconds float64, tracer *obs.Tracer, live *obs.Live, slo *obs.SLOTracker) (*ingest.Gateway, error) {
-	policy, err := ingest.ParsePolicy(o.shedPolicy)
-	if err != nil {
-		return nil, err
-	}
-	return ingest.New(ingest.Config{
-		Queues:      queues,
-		Depth:       o.queueDepth,
-		Policy:      policy,
-		WaitSeconds: waitSeconds,
-		WallSLO:     o.slo,
-		SLO:         slo,
-		Trace:       tracer,
-		Live:        live,
-	}), nil
 }
 
 // promMetrics renders the live counter surface (and, on gateway runs, the
@@ -611,13 +540,13 @@ func promMetrics(pw *obs.PromWriter, live *obs.Live, slo *obs.SLOTracker) {
 }
 
 // printCacheStats reports the aggregate shortest-path cache efficacy
-// (summed across all shards for the dispatch engine); silent when the
-// selected backend has no caches.
-func printCacheStats(m *sim.Metrics) {
+// (summed across all shards); silent when the selected backend has no
+// caches.
+func printCacheStats(w io.Writer, m *sim.Metrics) {
 	if m.DistCacheHits+m.DistCacheMisses == 0 && m.PathCacheHits+m.PathCacheMisses == 0 {
 		return
 	}
-	fmt.Printf("dist cache: %.1f%% hit (%d hits, %d misses); path cache: %.1f%% hit (%d hits, %d misses)\n",
+	fmt.Fprintf(w, "dist cache: %.1f%% hit (%d hits, %d misses); path cache: %.1f%% hit (%d hits, %d misses)\n",
 		m.DistCacheHitRate()*100, m.DistCacheHits, m.DistCacheMisses,
 		m.PathCacheHitRate()*100, m.PathCacheHits, m.PathCacheMisses)
 }

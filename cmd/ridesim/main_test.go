@@ -1,0 +1,100 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"os"
+	"strings"
+	"testing"
+)
+
+// goldenArgs is the run testdata/golden.json holds: the -json snapshot of
+// exactly these flags, captured from the last commit that still had the
+// separate sequential simulator (0746eb7, where these flags selected it).
+// It pins, from outside the engine, that folding that path into
+// dispatch.Engine left ridesim's default output alone.
+var goldenArgs = []string{"-scale", "0.002", "-servers", "40", "-seed", "7", "-json"}
+
+// seedExact are the snapshot fields a seed fixes exactly: every integer
+// counter plus the occupancy statistics (small-integer arithmetic over
+// per-vehicle peaks). Wall-clock fields, float totals (summation order
+// varies with shard count) and cache counters (per-shard path LRUs
+// partition the lookup stream) are deliberately left out.
+type seedExact struct {
+	Requests      int     `json:"requests"`
+	Matched       int     `json:"matched"`
+	Rejected      int     `json:"rejected"`
+	Completed     int     `json:"completed"`
+	Violations    int     `json:"violations"`
+	TrialCalls    int     `json:"trial_calls"`
+	TrialFailures int     `json:"trial_failures"`
+	TreeNodesMax  int     `json:"tree_nodes_max"`
+	OccupancyMax  int     `json:"occupancy_max"`
+	OccupancyMean float64 `json:"occupancy_mean"`
+	OccupancyTop  float64 `json:"occupancy_top20_mean"`
+}
+
+// ridesim parses args the way main does and runs them, returning stdout.
+func ridesim(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("ridesim", flag.ContinueOnError)
+	o := defineFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err := run(*o, &out)
+	return out.String(), err
+}
+
+func TestGoldenJSON(t *testing.T) {
+	raw, err := os.ReadFile("testdata/golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want seedExact
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if want.Matched == 0 || want.TrialCalls == 0 {
+		t.Fatalf("golden is empty: %+v", want)
+	}
+	for _, extra := range [][]string{
+		nil, // default flags
+		{"-workers", "4"},
+		{"-shards", "3"},
+		{"-batch", "0", "-producers", "4", "-shed-policy", "block"},
+		{"-fault-plan", "none"},
+	} {
+		t.Run(strings.Join(extra, " "), func(t *testing.T) {
+			out, err := ridesim(t, append(append([]string{}, goldenArgs...), extra...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got seedExact
+			if err := json.Unmarshal([]byte(out), &got); err != nil {
+				t.Fatalf("stdout is not one JSON snapshot: %v\n%s", err, out)
+			}
+			if got != want {
+				t.Fatalf("seed-exact metrics drifted from the golden:\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestBadFlagValueFailsBeforeAnyWork: an unknown enumerated flag value is
+// an error reported before the world is built — nothing reaches stdout.
+func TestBadFlagValueFailsBeforeAnyWork(t *testing.T) {
+	for _, flagName := range []string{"-algo", "-oracle", "-shed-policy", "-fault-plan", "-arrival"} {
+		// -obs-addr would open a listener and announce it on stdout if the
+		// value were only checked after setup.
+		out, err := ridesim(t, "-scale", "0.002", "-servers", "40", "-obs-addr", "127.0.0.1:0", flagName, "no-such-value")
+		if err == nil || !strings.Contains(err.Error(), "no-such-value") {
+			t.Errorf("%s no-such-value: err = %v, want an error naming the value", flagName, err)
+		}
+		if out != "" {
+			t.Errorf("%s no-such-value: wrote to stdout before failing:\n%s", flagName, out)
+		}
+	}
+}

@@ -68,24 +68,17 @@ func main() {
 			WaitSeconds: wait,
 		})
 		start := time.Now()
-		driveErr := make(chan error, 1)
-		go func() { driveErr <- ingest.Drive(gw, gen, 8) }()
-		gw.Drain(func(r sim.Request) { eng.Enqueue(r) })
+		m, _, err := ingest.Run(gw, eng, gen, 8, nil)
 		wall := time.Since(start)
-		if err := <-driveErr; err != nil {
-			log.Fatalf("%s: drive: %v", policy, err)
+		if err != nil {
+			log.Fatalf("%s: %v", policy, err)
 		}
 		if err := gen.Err(); err != nil {
 			log.Fatalf("%s: %v", policy, err)
 		}
-		if err := eng.Drain(); err != nil {
-			log.Fatal(err)
-		}
 		if err := eng.CheckInvariants(); err != nil {
 			log.Fatalf("%s: %v", policy, err)
 		}
-		m := eng.Metrics()
-		gw.MetricsInto(m)
 		fmt.Printf("%-12s admitted %4d  shed %4d (overflow %4d, deadline %4d)  matched %4d  queue peak %2d  p99 ingress wait %v  (wall %v)\n",
 			policy, m.Admitted, m.Shed(), m.ShedOverflow, m.ShedDeadline,
 			m.Matched, m.IngressQueuePeak, m.IngressWaitP99().Round(time.Microsecond), wall.Round(time.Millisecond))

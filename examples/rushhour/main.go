@@ -4,8 +4,9 @@
 // generator's surge mode (internal/workload, non-homogeneous Poisson over
 // the double rush-hour curve) and enters through the concurrent ingress
 // gateway (internal/ingest): four producer goroutines submit the stream,
-// and the stamped-order drain feeds each matcher — so both algorithms see
-// the identical time-sorted demand a single producer would have produced.
+// and the stamped-order drain feeds the dispatch engine — so both
+// algorithms see the identical time-sorted demand a single producer would
+// have produced.
 // The gateway runs shed-oldest with enough queue capacity for the whole
 // day, and the run asserts that nothing was actually shed at that
 // configured capacity.
@@ -22,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/dispatch"
 	"repro/internal/ingest"
 	"repro/internal/roadnet"
 	"repro/internal/sim"
@@ -59,15 +61,14 @@ func main() {
 		g.N(), g.M(), len(day))
 
 	for _, algo := range []sim.Algorithm{sim.AlgoTreeSlack, sim.AlgoBranchBound} {
-		oracle := cache.New(sp.NewBidirectional(g), g.N(), 1<<20, 1<<12)
-		s, err := sim.New(sim.Config{
+		eng, err := dispatch.New(sim.Config{
 			Graph:     g,
-			Oracle:    oracle,
+			Oracle:    cache.New(sp.NewBidirectional(g), g.N(), 1<<20, 1<<12),
 			Servers:   100,
 			Capacity:  4,
 			Algorithm: algo,
 			Seed:      42,
-		})
+		}, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -78,21 +79,15 @@ func main() {
 		})
 		src := ingest.SliceSource(day)
 		start := time.Now()
-		driveErr := make(chan error, 1)
-		go func() { driveErr <- ingest.Drive(gw, &src, producers) }()
-		gw.Drain(func(r sim.Request) { s.Submit(r) })
-		if err := <-driveErr; err != nil {
-			log.Fatalf("%s: drive: %v", algo, err)
-		}
-		if err := s.Drain(); err != nil {
-			log.Fatalf("%s: %v", algo, err)
-		}
+		m, _, err := ingest.Run(gw, eng, &src, producers, nil)
 		wall := time.Since(start)
-		if err := s.CheckInvariants(); err != nil {
+		if err != nil {
 			log.Fatalf("%s: %v", algo, err)
 		}
-		m := s.Metrics()
-		gw.MetricsInto(m)
+		if err := eng.CheckInvariants(); err != nil {
+			log.Fatalf("%s: %v", algo, err)
+		}
+		eng.Close()
 		if m.Shed() != 0 {
 			log.Fatalf("%s: gateway shed %d requests at configured capacity %d x %d",
 				algo, m.Shed(), queues, queueDepth)

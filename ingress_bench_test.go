@@ -53,15 +53,11 @@ func BenchmarkIngressThroughput(b *testing.B) {
 				gw := ingest.New(ingest.Config{Queues: e.Shards(), Depth: 64, Policy: ingest.Block})
 				src := ingest.SliceSource(world.Requests)
 				b.StartTimer()
-				driveErr := make(chan error, 1)
-				go func() { driveErr <- ingest.Drive(gw, &src, producers) }()
-				gw.Drain(func(r sim.Request) { e.Submit(r) })
+				m, _, err = ingest.Run(gw, e, &src, producers, nil)
 				b.StopTimer()
-				if err := <-driveErr; err != nil {
-					b.Fatalf("drive: %v", err)
+				if err != nil {
+					b.Fatal(err)
 				}
-				m = e.Metrics()
-				gw.MetricsInto(m)
 				if m.Admitted != len(world.Requests) || m.Shed() != 0 {
 					b.Fatalf("admitted %d, shed %d — blocking gateway must be lossless", m.Admitted, m.Shed())
 				}

@@ -35,7 +35,7 @@ import (
 // Shared itself implements sp.Oracle and sp.SharedOracle — Dist and Path
 // may be called from any goroutine, with misses computed on engines drawn
 // from an internal pool — so it can drop in wherever a single oracle is
-// expected (the sequential simulator, tooling). Hot worker pools should
+// expected (a one-worker engine, tooling). Hot worker pools should
 // instead hold one NewWorker facade per goroutine, which adds a private
 // lock-free path cache and a dedicated engine.
 type Shared struct {

@@ -17,8 +17,9 @@ import (
 
 // Enqueue adds a request to the current batch window. If the request's
 // arrival time falls past the window boundary, the pending batch is flushed
-// at the boundary first. Immediate-mode engines (BatchWindow <= 0) simply
-// dispatch the request. A timestamp earlier than the engine clock is
+// at the boundary first. An immediate-mode engine (BatchWindow <= 0) simply
+// dispatches the request, which makes Enqueue the one entry point drivers
+// and gateway sinks need for both modes. A timestamp earlier than the engine clock is
 // clamped to it, exactly as Submit does — otherwise a late-arriving
 // request after a flush would drag the next window's start time backwards
 // and distort every boundary that follows.

@@ -13,7 +13,7 @@ import (
 // greedyFlushTimes replicates the engine's batch-window bookkeeping
 // (Enqueue clamping, boundary flushes, final Flush) and returns the flush
 // instant each request is matched at. Stamping the stream with these times
-// and replaying it through the sequential Simulator is the definitional
+// and replaying it through the naive reference matcher is the definitional
 // greedy arrival-order pass the batch planner must reproduce.
 func greedyFlushTimes(reqs []sim.Request, window float64) []float64 {
 	out := make([]float64, len(reqs))
@@ -54,10 +54,21 @@ func greedyFlushTimes(reqs []sim.Request, window float64) []float64 {
 	return out
 }
 
+// stampTimes returns a copy of reqs with each request's time replaced by
+// its flush instant.
+func stampTimes(reqs []sim.Request, ft []float64) []sim.Request {
+	out := make([]sim.Request, len(reqs))
+	for i, r := range reqs {
+		r.Time = ft[i]
+		out[i] = r
+	}
+	return out
+}
+
 // TestBatchIncrementalRepairEquivalence: with incremental conflict repair,
 // batch-mode assignments must stay bit-identical to the sequential greedy
-// arrival-order pass (the sequential Simulator fed the flush-stamped
-// stream) at 1/4/8 workers, the repair path must actually fire, and the
+// arrival-order pass (the reference matcher fed the flush-stamped stream)
+// at 1/4/8 workers, the repair path must actually fire, and the
 // repair metrics must be identical at every parallelism.
 func TestBatchIncrementalRepairEquivalence(t *testing.T) {
 	g, factory, reqs := testWorld(t, 120)
@@ -68,19 +79,7 @@ func TestBatchIncrementalRepairEquivalence(t *testing.T) {
 	ft := greedyFlushTimes(reqs, window)
 	cfg := baseConfig(g, factory, sim.AlgoTreeSlack)
 	cfg.Servers = 12 // scarce fleet so windows contend for the same vehicles
-	seq, err := sim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]int, len(reqs))
-	for i, r := range reqs {
-		r.Time = ft[i]
-		matched, veh := seq.Submit(r)
-		if !matched {
-			veh = -1
-		}
-		want[i] = veh
-	}
+	want := newRefMatcher(t, cfg).assignments(stampTimes(reqs, ft))
 
 	var conflicts, saved int
 	for _, workers := range []int{1, 4, 8} {

@@ -8,7 +8,7 @@ import (
 )
 
 // TestCityScaleEquivalence is the pooling/tuning half of the equivalence
-// story: assignments must be bit-identical to the sequential baseline with
+// story: assignments must be bit-identical to the reference matcher with
 // node pooling on or off, at 1/4/8 workers, in immediate and batch mode,
 // and with auto-tuned sharding and cell size. Run under -race this also
 // shakes out any cross-goroutine reuse of a pooled node. The baseline is
@@ -19,41 +19,19 @@ func TestCityScaleEquivalence(t *testing.T) {
 	defer core.SetNodePooling(true)
 
 	core.SetNodePooling(false)
-	seq, err := sim.New(baseConfig(g, factory, sim.AlgoTreeSlack))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]int, len(reqs))
-	for i, r := range reqs {
-		matched, veh := seq.Submit(r)
-		if !matched {
-			veh = -1
-		}
-		want[i] = veh
-	}
+	seq := newRefMatcher(t, baseConfig(g, factory, sim.AlgoTreeSlack))
+	want := seq.assignments(reqs)
 	seq.Drain()
 	if err := seq.CheckInvariants(); err != nil {
-		t.Fatalf("sequential baseline invariants: %v", err)
+		t.Fatalf("reference baseline invariants: %v", err)
 	}
 
 	// Batch mode matches each window at its flush instant, so it has its
-	// own sequential baseline: the same greedy pass over the
-	// flush-stamped stream (still with pooling off).
+	// own baseline: the same greedy pass over the flush-stamped stream
+	// (still with pooling off).
 	const window = 20.0
-	ft := greedyFlushTimes(reqs, window)
-	seqB, err := sim.New(baseConfig(g, factory, sim.AlgoTreeSlack))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBatch := make([]int, len(reqs))
-	for i, r := range reqs {
-		r.Time = ft[i]
-		matched, veh := seqB.Submit(r)
-		if !matched {
-			veh = -1
-		}
-		wantBatch[i] = veh
-	}
+	wantBatch := newRefMatcher(t, baseConfig(g, factory, sim.AlgoTreeSlack)).
+		assignments(stampTimes(reqs, greedyFlushTimes(reqs, window)))
 
 	for _, pooling := range []bool{false, true} {
 		for _, workers := range []int{1, 4, 8} {

@@ -1,8 +1,11 @@
-// Package dispatch is the sharded concurrent dispatch engine: the paper's
-// kinetic-tree matching loop — trial-insert a request into every candidate
-// vehicle's tree and keep the cheapest — is embarrassingly parallel across
-// vehicles, so the engine partitions the fleet into shards and fans each
-// request's trial insertions out over a worker pool.
+// Package dispatch is the matching engine, the only matching loop in the
+// tree: the paper's kinetic-tree matching loop — trial-insert a request
+// into every candidate vehicle's tree and keep the cheapest — is
+// embarrassingly parallel across vehicles, so the engine partitions the
+// fleet into shards and fans each request's trial insertions out over a
+// worker pool. At one worker (the default) the shards run inline on the
+// caller and no pool exists: that is the paper's sequential evaluation
+// loop.
 //
 // Each shard owns its vehicles, their kinetic trees, a private slice of the
 // spatial index, and a per-goroutine sp.Oracle, so no unsynchronized oracle
@@ -15,10 +18,11 @@
 // reduce to the globally cheapest feasible candidate with deterministic
 // tie-breaking (cost, then vehicle ID), and the winner commits on its
 // owning shard. For a fixed seed the engine produces bit-identical match
-// assignments to the sequential sim.Simulator at any worker/shard count
-// and under either cache layout, because both drive the same sim.Worker
-// primitives over the same seed-determined fleet and exact distances do
-// not depend on which cache served them.
+// assignments at any worker/shard count and under either cache layout,
+// because every partition drives the same sim.Worker primitives over the
+// same seed-determined fleet and exact distances do not depend on which
+// cache served them; the equivalence tests hold it to an independent naive
+// matcher (reference_test.go).
 //
 // A batch-window mode (Config.BatchWindow) collects requests for a fixed
 // window and matches the batch greedily in arrival order with incremental
@@ -63,9 +67,8 @@ func ShardIndex(id int64, n int) int {
 // the same thing (see New).
 type OracleFactory func() sp.Oracle
 
-// Engine is the sharded concurrent dispatcher. The exported methods are
-// driven from one goroutine (like sim.Simulator); the concurrency is
-// internal, across shards.
+// Engine is the sharded dispatcher. The exported methods are driven from
+// one goroutine; the concurrency is internal, across shards.
 type Engine struct {
 	cfg      sim.Config
 	shards   []*shard
@@ -97,9 +100,19 @@ type Engine struct {
 	busy  []bool      // per-shard busy flags (Drain)
 	flush flushScratch
 
-	drainRoundCap int   // test hook; 0 selects sim.DefaultDrainRoundCap
+	drainRoundCap int   // test hook; 0 selects defaultDrainRoundCap
 	drainErr      error // sticky Drain truncation error, surfaced by CheckInvariants
 }
+
+// drainStep is the simulated seconds each Drain round advances the fleet.
+const drainStep = 3600
+
+// defaultDrainRoundCap bounds Drain to ~11 simulated years. It is a sanity
+// cap against a wedged fleet (a vehicle that never finishes its schedule),
+// not a truncation point for long-but-finite schedules: hitting it is
+// reported as an explicit error instead of silently abandoning in-flight
+// passengers.
+const defaultDrainRoundCap = 100000
 
 // flushScratch is the per-flush working set of batch.go, reused across
 // windows so a steady request stream allocates nothing per flush beyond
@@ -230,8 +243,10 @@ func New(cfg sim.Config, oracles OracleFactory) (*Engine, error) {
 			fault: cfg.Faults.Worker(),
 		})
 	}
-	// Identical seed-determined placement to sim.New: vehicle i lives on
-	// shard i mod nshards.
+	// Seed-determined placement, independent of the partition ("a vehicle
+	// is initialized to a random vertex in the city", §VI): vehicle i lives
+	// on shard i mod nshards, and position reports are staggered across the
+	// fleet.
 	for i, p := range sim.Placements(cfg) {
 		s := e.shards[i%nshards]
 		v := s.w.NewVehicle(i, p.Loc)
@@ -289,7 +304,7 @@ func (e *Engine) parallel(fn func(s *shard)) { e.parallelOn(e.shards, fn) }
 // parallelOn is parallel restricted to the given shards. A single shard —
 // the common incremental-repair case — runs inline on the caller,
 // skipping the pool round-trip; the pool is quiescent between fan-outs,
-// so the caller touching one shard's state is as safe as the sequential
+// so the caller touching one shard's state is as safe as the poolless
 // path.
 func (e *Engine) parallelOn(shards []*shard, fn func(s *shard)) {
 	if e.tasks == nil || len(shards) == 1 {
@@ -311,9 +326,8 @@ func (e *Engine) parallelOn(shards []*shard, fn func(s *shard)) {
 }
 
 // drainReportsUntil advances the shard's vehicles whose position report is
-// due before t and refreshes their index entries, exactly as the sequential
-// simulator does fleet-wide. Due vehicles are rescheduled in place with
-// ReplaceMin, so the loop allocates nothing.
+// due before t and refreshes their index entries. Due vehicles are
+// rescheduled in place with ReplaceMin, so the loop allocates nothing.
 func (s *shard) drainReportsUntil(g *sim.Config, t float64) {
 	interval := s.w.ReportInterval()
 	for s.reports.Len() > 0 && s.reports.Min().Due <= t {
@@ -335,8 +349,8 @@ type shardBest struct {
 // trial runs the request's trial insertions over this shard's candidate
 // vehicles and returns the shard-local winner. Candidates arrive from the
 // grid in ascending ID order and win on strictly smaller cost, so the
-// shard winner is its lowest-ID cheapest vehicle — the same rule the
-// sequential scan applies globally.
+// shard winner is its lowest-ID cheapest vehicle — the same rule reduce
+// applies globally.
 func (s *shard) trial(cfg *sim.Config, req sim.Request, px, py, waitMeters, eps, radius float64) shardBest {
 	spanStart := s.ring.SpanStart()
 	s.drainReportsUntil(cfg, req.Time)
@@ -538,41 +552,37 @@ func (e *Engine) Assignment(reqID int64) (vehID int, dispatched bool) {
 
 // Run replays all requests (sorted by time) and then lets the fleet finish
 // its committed schedules. With a positive BatchWindow the stream is
-// matched in windows; otherwise each request is matched on arrival. It
+// matched in windows; otherwise Enqueue matches each request on arrival. It
 // returns the metrics, plus Drain's truncation error if the fleet could
 // not finish within the drain-round sanity cap — the metrics are still
 // returned, but they omit the stuck vehicles' completions.
 func (e *Engine) Run(reqs []sim.Request) (*sim.Metrics, error) {
-	if e.cfg.BatchWindow > 0 {
-		for i := range reqs {
-			e.Enqueue(reqs[i])
-		}
-		e.Flush()
-	} else {
-		for i := range reqs {
-			e.Submit(reqs[i])
-		}
+	for i := range reqs {
+		e.Enqueue(reqs[i])
 	}
+	e.Flush()
 	err := e.Drain()
 	return e.Metrics(), err
 }
 
-// Drain advances every vehicle until its committed schedule is finished,
-// mirroring sim.Simulator.Drain round for round. A fleet still busy after
-// the sanity cap (sim.DefaultDrainRoundCap rounds of sim.DrainStep
-// seconds) is wedged; Drain returns an explicit error naming the stuck
-// vehicles instead of silently dropping their in-flight passengers, and
-// CheckInvariants reports the same error afterwards.
+// Drain advances every vehicle until its committed schedule is finished, so
+// completion statistics cover all matched requests. A fleet still busy
+// after the sanity cap (defaultDrainRoundCap rounds of drainStep seconds)
+// is wedged; Drain returns an explicit error naming the stuck vehicles
+// instead of silently dropping their in-flight passengers, and
+// CheckInvariants reports the same error afterwards. Drain may be called
+// again after further requests; each call recomputes the occupancy
+// histogram from the fleet rather than adding to it.
 func (e *Engine) Drain() error {
 	e.drainErr = nil // a drain that completes clears any earlier truncation
 	rounds := e.drainRoundCap
 	if rounds <= 0 {
-		rounds = sim.DefaultDrainRoundCap
+		rounds = defaultDrainRoundCap
 	}
 	busy := e.busy
 	idle := false
 	for round := 0; round < rounds && !idle; round++ {
-		e.clock += sim.DrainStep
+		e.clock += drainStep
 		e.parallel(func(s *shard) {
 			busy[s.id] = false
 			for _, v := range s.vehicles {
@@ -594,10 +604,11 @@ func (e *Engine) Drain() error {
 				stuck++
 			}
 		})
-		e.drainErr = fmt.Errorf("dispatch: drain truncated after %d rounds (%.0f s): %d vehicles still busy", rounds, float64(rounds)*sim.DrainStep, stuck)
+		e.drainErr = fmt.Errorf("dispatch: drain truncated after %d rounds (%.0f s): %d vehicles still busy", rounds, float64(rounds)*drainStep, stuck)
 	}
-	// Peak occupancy per vehicle; the histogram is order-insensitive, so
-	// visiting in global ID order matches the sequential path exactly.
+	// Peak occupancy per vehicle, rebuilt from scratch so a repeated Drain
+	// never counts a vehicle twice.
+	e.metrics.Occupancy = obs.NewHistogram()
 	e.eachVehicle(func(v *sim.Vehicle) {
 		e.metrics.AddOccupancy(v.PeakOnboard())
 	})
@@ -699,7 +710,8 @@ func (e *Engine) cacheStats() (distHits, distMisses, pathHits, pathMisses uint64
 }
 
 // CheckInvariants verifies the cross-cutting invariants over the whole
-// fleet, mirroring sim.Simulator.CheckInvariants.
+// fleet; tests and drivers call it after runs. It returns an error
+// describing the first violation found.
 func (e *Engine) CheckInvariants() error {
 	if e.drainErr != nil {
 		return e.drainErr

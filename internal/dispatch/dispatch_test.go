@@ -96,8 +96,8 @@ func compareMetrics(t *testing.T, label string, seq, got *sim.Metrics) {
 		t.Errorf("%s: occupancy distributions diverge: seq %v got %v",
 			label, seq.Occupancy, got.Occupancy)
 	}
-	// Match-latency values are wall times and differ across engines, but
-	// both record exactly one sample per request.
+	// Match-latency values are wall times and differ from run to run, but
+	// every run records exactly one sample per request.
 	if seq.MatchLatency.Count() != got.MatchLatency.Count() {
 		t.Errorf("%s: match-latency sample counts diverge: seq %d got %d",
 			label, seq.MatchLatency.Count(), got.MatchLatency.Count())
@@ -118,9 +118,9 @@ func compareMetrics(t *testing.T, label string, seq, got *sim.Metrics) {
 }
 
 // TestSequentialEquivalence: for a fixed seed, the engine must produce the
-// identical per-request vehicle assignments and metrics as the sequential
-// Simulator, at every worker/shard combination, for both a kinetic-tree and
-// a stateless algorithm.
+// identical per-request vehicle assignments and metrics as the naive
+// reference matcher (reference_test.go), at every worker/shard
+// combination, for both a kinetic-tree and a stateless algorithm.
 func TestSequentialEquivalence(t *testing.T) {
 	cases := []struct {
 		algo  sim.Algorithm
@@ -136,21 +136,11 @@ func TestSequentialEquivalence(t *testing.T) {
 		t.Run(tc.algo.String(), func(t *testing.T) {
 			g, factory, reqs := testWorld(t, tc.trips)
 
-			seq, err := sim.New(baseConfig(g, factory, tc.algo))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := make([]int, len(reqs))
-			for i, r := range reqs {
-				matched, veh := seq.Submit(r)
-				if !matched {
-					veh = -1
-				}
-				want[i] = veh
-			}
+			seq := newRefMatcher(t, baseConfig(g, factory, tc.algo))
+			want := seq.assignments(reqs)
 			seq.Drain()
 			if err := seq.CheckInvariants(); err != nil {
-				t.Fatalf("sequential invariants: %v", err)
+				t.Fatalf("reference invariants: %v", err)
 			}
 
 			for _, wc := range grids {
@@ -167,7 +157,7 @@ func TestSequentialEquivalence(t *testing.T) {
 						veh = -1
 					}
 					if veh != want[i] {
-						t.Fatalf("workers=%d shards=%d: request %d assigned to %d, sequential chose %d",
+						t.Fatalf("workers=%d shards=%d: request %d assigned to %d, reference chose %d",
 							wc.workers, wc.shards, i, veh, want[i])
 					}
 				}
@@ -175,7 +165,7 @@ func TestSequentialEquivalence(t *testing.T) {
 				if err := e.CheckInvariants(); err != nil {
 					t.Fatalf("workers=%d shards=%d: invariants: %v", wc.workers, wc.shards, err)
 				}
-				compareMetrics(t, algoLabel(tc.algo, wc.workers, wc.shards), seq.Metrics(), e.Metrics())
+				compareMetrics(t, algoLabel(tc.algo, wc.workers, wc.shards), seq.metrics, e.Metrics())
 				e.Close()
 			}
 		})

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/dispatch"
 	"repro/internal/roadnet"
 	"repro/internal/sim"
 	"repro/internal/sp"
@@ -180,16 +181,9 @@ func (h *Harness) Run(p RunParams) (*sim.Metrics, error) {
 		MIPMaxNodes:   5000,
 		MIPTimeBudget: 20 * time.Millisecond,
 	}
-	s, err := sim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
 	start := time.Now()
-	m, err := s.Run(reqs)
+	m, err := Simulate(cfg, reqs)
 	if err != nil {
-		return nil, fmt.Errorf("exp: run %+v: %w", p, err)
-	}
-	if err := s.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("exp: run %+v: %w", p, err)
 	}
 	if h.Verbose != nil {
@@ -198,6 +192,22 @@ func (h *Harness) Run(p RunParams) (*sim.Metrics, error) {
 	}
 	h.memo[p] = m
 	return m, nil
+}
+
+// Simulate replays reqs through one dispatch engine over cfg — at the
+// default single worker the shards run inline, the paper's sequential
+// evaluation loop — and checks the service invariants.
+func Simulate(cfg sim.Config, reqs []sim.Request) (*sim.Metrics, error) {
+	eng, err := dispatch.New(cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer eng.Close()
+	m, err := eng.Run(reqs)
+	if err != nil {
+		return nil, err
+	}
+	return m, eng.CheckInvariants()
 }
 
 // Table is a rendered experiment result.

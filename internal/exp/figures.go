@@ -282,15 +282,8 @@ func (h *Harness) Fig9cStress() (*Table, error) {
 			MaxTreeNodes: 30000,
 			Seed:         1000,
 		}
-		s, err := sim.New(cfg)
+		m, err := Simulate(cfg, reqs)
 		if err != nil {
-			return nil, err
-		}
-		m, err := s.Run(reqs)
-		if err != nil {
-			return nil, fmt.Errorf("exp: fig9cstress %s: %w", a, err)
-		}
-		if err := s.CheckInvariants(); err != nil {
 			return nil, fmt.Errorf("exp: fig9cstress %s: %w", a, err)
 		}
 		acrt := fmtDur(m.ACRT())
@@ -518,17 +511,10 @@ func (h *Harness) OracleAblation() (*Table, error) {
 			Algorithm:   base.Algo,
 			Seed:        1000,
 		}
-		s, err := sim.New(cfg)
-		if err != nil {
-			return nil, err
-		}
 		start := time.Now()
-		m, err := s.Run(reqs)
+		m, err := Simulate(cfg, reqs)
 		wall := time.Since(start)
 		if err != nil {
-			return nil, fmt.Errorf("exp: oracle ablation %s: %w", be.name, err)
-		}
-		if err := s.CheckInvariants(); err != nil {
 			return nil, fmt.Errorf("exp: oracle ablation %s: %w", be.name, err)
 		}
 		t.Rows = append(t.Rows, []string{be.name, fmtDur(m.ACRT()), wall.Round(time.Millisecond).String()})

@@ -420,8 +420,8 @@ func (h *WorkerHook) BeforeTrial(reqID int64, t float64) {
 }
 
 // OracleHook injects failures and latency into one oracle facade.
-// Single-writer: each dispatch shard (or the sequential simulator)
-// owns its own facade, matching the sp thread-safety taxonomy.
+// Single-writer: each dispatch shard owns its own facade, matching the
+// sp thread-safety taxonomy.
 type OracleHook struct {
 	plan  OraclePlan
 	phase uint64

@@ -95,26 +95,13 @@ func runPipeline(t *testing.T, policy ingest.Policy, inj *faults.Injector) (*sim
 	})
 	src := make(ingest.SliceSource, len(reqs))
 	copy(src, reqs)
-	var ds ingest.DriveStats
-	done := make(chan error, 1)
-	go func() {
-		var derr error
-		ds, derr = ingest.DriveInjected(gw, &src, 4, inj)
-		done <- derr
-	}()
-	gw.Drain(func(r sim.Request) { e.Enqueue(r) })
-	if derr := <-done; derr != nil {
-		t.Fatalf("drive: %v", derr)
-	}
-	if err := e.Drain(); err != nil {
-		t.Fatalf("engine drain: %v", err)
+	m, ds, err := ingest.Run(gw, e, &src, 4, inj)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatalf("engine invariants: %v", err)
 	}
-
-	m := e.Metrics()
-	gw.MetricsInto(m)
 	var buf bytes.Buffer
 	if _, dropped, err := tracer.Drain(&buf); err != nil || dropped != 0 {
 		t.Fatalf("trace drain: dropped=%d err=%v", dropped, err)
@@ -234,16 +221,9 @@ func TestFaultLatencyPlansBitIdentical(t *testing.T) {
 			gw := ingest.New(ingest.Config{Queues: e.Shards(), Depth: 32})
 			src := make(ingest.SliceSource, len(reqs))
 			copy(src, reqs)
-			done := make(chan error, 1)
-			go func() {
-				_, derr := ingest.DriveInjected(gw, &src, 4, inj)
-				done <- derr
-			}()
-			gw.Drain(func(r sim.Request) { e.Enqueue(r) })
-			if derr := <-done; derr != nil {
-				t.Fatal(derr)
+			if _, _, err := ingest.Run(gw, e, &src, 4, inj); err != nil {
+				t.Fatal(err)
 			}
-			e.Flush()
 			for _, r := range reqs {
 				veh, ok := e.Assignment(r.ID)
 				if !ok {
@@ -288,16 +268,9 @@ func TestFaultDisabledEquivalence(t *testing.T) {
 		gw := ingest.New(ingest.Config{Queues: e.Shards(), Depth: 32})
 		src := make(ingest.SliceSource, len(reqs))
 		copy(src, reqs)
-		done := make(chan error, 1)
-		go func() {
-			_, derr := ingest.DriveInjected(gw, &src, 4, inj)
-			done <- derr
-		}()
-		gw.Drain(func(r sim.Request) { e.Enqueue(r) })
-		if derr := <-done; derr != nil {
-			t.Fatal(derr)
+		if _, _, err := ingest.Run(gw, e, &src, 4, inj); err != nil {
+			t.Fatal(err)
 		}
-		e.Flush()
 		out := make(map[int64]int, len(reqs))
 		for _, r := range reqs {
 			veh, ok := e.Assignment(r.ID)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/dispatch"
 	"repro/internal/faults"
 	"repro/internal/sim"
 )
@@ -48,10 +49,7 @@ type DriveStats struct {
 // is the per-producer monotonicity Submit requires.
 //
 // Drive blocks until every request is submitted and every producer is
-// closed; run it concurrently with gw.Drain:
-//
-//	go func() { errc <- ingest.Drive(gw, src, 8) }()
-//	gw.Drain(func(r sim.Request) { eng.Enqueue(r) })
+// closed; run it concurrently with gw.Drain, or call Run, which does.
 //
 // A producer goroutine that panics (a buggy Source-side callback, or an
 // injected fault) does not deadlock the pipeline: its watermark is
@@ -141,4 +139,37 @@ func DriveInjected(gw *Gateway, src Source, producers int, inj *faults.Injector)
 	stats.Dropped = int(dropped.Load())
 	stats.Discarded = int(discarded.Load())
 	return stats, errors.Join(errs...)
+}
+
+// Run is the gateway run protocol, start to finish: stream src through gw
+// from `producers` goroutines (under inj's producer hooks; nil injects
+// nothing) while the stamped-order drain feeds eng, then flush the engine's
+// last batch window, let the fleet finish its committed schedules, and fold
+// the gateway's ingress counters into the engine's metrics. It blocks
+// until all of that is done.
+//
+// The drive error is collected rather than discarded: an injected (or
+// real) producer panic is reported after the drain instead of being lost
+// in a dead goroutine — DriveInjected's recovery path closes the panicked
+// producer's watermark, so the drain itself never deadlocks on it. The
+// metrics are returned even alongside an error (a drive failure, or
+// Engine.Drain's truncation), covering whatever did run.
+func Run(gw *Gateway, eng *dispatch.Engine, src Source, producers int, inj *faults.Injector) (*sim.Metrics, DriveStats, error) {
+	var ds DriveStats
+	driven := make(chan error, 1)
+	go func() {
+		var err error
+		ds, err = DriveInjected(gw, src, producers, inj)
+		driven <- err
+	}()
+	gw.Drain(eng.Enqueue)
+	driveErr := <-driven
+	eng.Flush()
+	drainErr := eng.Drain()
+	m := eng.Metrics()
+	gw.MetricsInto(m)
+	if driveErr != nil {
+		return m, ds, fmt.Errorf("ingest: drive: %w", driveErr)
+	}
+	return m, ds, drainErr
 }

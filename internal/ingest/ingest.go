@@ -1,8 +1,8 @@
 // Package ingest is the concurrent front door of the dispatcher: a
 // multi-producer request gateway that sits between many request sources
 // (API handlers, replayed city feeds, the internal/workload generator) and
-// a single-consumer matching engine (dispatch.Engine or sim.Simulator),
-// whose exported methods are driven from one goroutine.
+// the single-consumer matching engine (dispatch.Engine), whose exported
+// methods are driven from one goroutine.
 //
 // Producers submit into per-shard bounded MPSC queues keyed by the same
 // partitioning function the dispatch engine uses (dispatch.ShardIndex), so
@@ -332,7 +332,7 @@ type Producer struct {
 // Submit admits one request, stamping it into total order and enqueueing
 // it on its shard queue. Event times must be nondecreasing per producer;
 // an out-of-order time is clamped to the producer's previous one, exactly
-// as the engines clamp against their clock. It reports whether the request
+// as the engine clamps against its clock. It reports whether the request
 // was admitted — false only when ShedDeadline refuses a request whose
 // window is already blown (a shed-oldest eviction drops the queue head,
 // not the submission).

@@ -90,51 +90,45 @@ func feed(gw *Gateway, reqs []sim.Request, producers int) {
 	wg.Wait()
 }
 
-// TestIngressEquivalence: with shedding disabled (Block policy) the
-// gateway must hand the engine the exact time-sorted single-producer
-// sequence no matter how many producers race the front door, so
-// assignments stay bit-identical to the sequential simulator at every
-// producers × workers combination — on both the immediate (Submit) and
-// batch-window (Enqueue) paths.
-func TestIngressEquivalence(t *testing.T) {
-	g, factory, reqs := testWorld(t, 120)
-
-	// Sequential single-producer baseline.
-	seq, err := sim.New(baseConfig(g, factory))
+// directFeed is the single-producer baseline: a default (one worker, one
+// shard) engine fed the stream directly, in slice order, with no gateway in
+// front. What the gateway tests pin against it is the release order; the
+// engine's own worker/shard invariance is internal/dispatch's to prove.
+func directFeed(t *testing.T, cfg sim.Config, reqs []sim.Request) []int {
+	t.Helper()
+	e, err := dispatch.New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]int, len(reqs))
+	defer e.Close()
+	for _, r := range reqs {
+		e.Enqueue(r)
+	}
+	e.Flush()
+	out := make([]int, len(reqs))
 	for i, r := range reqs {
-		matched, veh := seq.Submit(r)
-		if !matched {
-			veh = -1
+		veh, ok := e.Assignment(r.ID)
+		if !ok {
+			t.Fatalf("direct feed: request %d never dispatched", r.ID)
 		}
-		want[i] = veh
+		out[i] = veh
 	}
+	return out
+}
 
-	// Batch-window baseline: the engine fed directly, single producer.
-	wantBatch := make(map[int64]int, len(reqs))
-	{
-		cfg := baseConfig(g, factory)
-		cfg.BatchWindow = 30
-		e, err := dispatch.New(cfg, factory)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range reqs {
-			e.Enqueue(r)
-		}
-		e.Flush()
-		for _, r := range reqs {
-			veh, ok := e.Assignment(r.ID)
-			if !ok {
-				t.Fatalf("baseline batch: request %d never dispatched", r.ID)
-			}
-			wantBatch[r.ID] = veh
-		}
-		e.Close()
-	}
+// TestIngressEquivalence: with shedding disabled (Block policy) the
+// gateway must hand the engine the exact time-sorted single-producer
+// sequence no matter how many producers race the front door, so
+// assignments stay bit-identical to the directly-fed engine at every
+// producers × workers combination — in both immediate and batch-window
+// mode.
+func TestIngressEquivalence(t *testing.T) {
+	g, factory, reqs := testWorld(t, 120)
+
+	want := map[float64][]int{0: directFeed(t, baseConfig(g, factory), reqs)}
+	batchCfg := baseConfig(g, factory)
+	batchCfg.BatchWindow = 30
+	want[30] = directFeed(t, batchCfg, reqs)
 
 	for _, producers := range []int{1, 4, 8} {
 		for _, workers := range []int{1, 4, 8} {
@@ -167,30 +161,15 @@ func TestIngressEquivalence(t *testing.T) {
 						t.Fatalf("handed off %d of %d requests", handed, len(reqs))
 					}
 
-					if batch == 0 {
-						// Immediate mode must match the sequential
-						// simulator bit for bit.
-						for i, r := range reqs {
-							veh, ok := e.Assignment(r.ID)
-							if !ok {
-								t.Fatalf("request %d never dispatched", r.ID)
-							}
-							if veh != want[i] {
-								t.Fatalf("request %d assigned to %d, sequential chose %d", r.ID, veh, want[i])
-							}
+					// Either mode must match the direct single-producer
+					// feed bit for bit.
+					for i, r := range reqs {
+						veh, ok := e.Assignment(r.ID)
+						if !ok {
+							t.Fatalf("request %d never dispatched", r.ID)
 						}
-					} else {
-						// Batch mode must match the direct single-producer
-						// Enqueue feed bit for bit.
-						for _, r := range reqs {
-							veh, ok := e.Assignment(r.ID)
-							if !ok {
-								t.Fatalf("request %d never dispatched", r.ID)
-							}
-							if veh != wantBatch[r.ID] {
-								t.Fatalf("request %d assigned to %d, direct batch feed chose %d",
-									r.ID, veh, wantBatch[r.ID])
-							}
+						if veh != want[batch][i] {
+							t.Fatalf("request %d assigned to %d, direct feed chose %d", r.ID, veh, want[batch][i])
 						}
 					}
 					m := gw.Metrics()
@@ -209,39 +188,6 @@ func TestIngressEquivalence(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestIngressSequentialSink: the gateway can front the sequential
-// simulator too — multi-producer ingest over a single-threaded matcher —
-// with the same bit-identical outcome.
-func TestIngressSequentialSink(t *testing.T) {
-	g, factory, reqs := testWorld(t, 60)
-
-	seq, err := sim.New(baseConfig(g, factory))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]int, len(reqs))
-	for i, r := range reqs {
-		_, want[i] = seq.Submit(r)
-	}
-
-	gated, err := sim.New(baseConfig(g, factory))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw := New(Config{Queues: 4, Depth: 16})
-	go feed(gw, reqs, 4)
-	i := 0
-	gw.Drain(func(r sim.Request) {
-		if _, veh := gated.Submit(r); veh != want[i] {
-			t.Errorf("request %d assigned to %d, direct feed chose %d", r.ID, veh, want[i])
-		}
-		i++
-	})
-	if i != len(reqs) {
-		t.Fatalf("handed off %d of %d", i, len(reqs))
 	}
 }
 
@@ -351,7 +297,7 @@ func TestDeadlinePerRequestOverride(t *testing.T) {
 }
 
 // TestProducerClampsTime: a producer's out-of-order event time is clamped
-// to its previous one, like the engines clamp against their clock.
+// to its previous one, like the engine clamps against its clock.
 func TestProducerClampsTime(t *testing.T) {
 	gw := New(Config{Queues: 1, Depth: 8})
 	p := gw.Producers(1)[0]
@@ -521,19 +467,8 @@ var _ interface{ Enqueue(sim.Request) } = (*dispatch.Engine)(nil)
 func TestIngressEquivalenceTraced(t *testing.T) {
 	g, factory, reqs := testWorld(t, 120)
 
-	// Untraced sequential baseline.
-	seq, err := sim.New(baseConfig(g, factory))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]int, len(reqs))
-	for i, r := range reqs {
-		matched, veh := seq.Submit(r)
-		if !matched {
-			veh = -1
-		}
-		want[i] = veh
-	}
+	// Untraced, ungated baseline.
+	want := directFeed(t, baseConfig(g, factory), reqs)
 
 	for _, producers := range []int{1, 4} {
 		for _, workers := range []int{1, 4} {
@@ -565,7 +500,7 @@ func TestIngressEquivalenceTraced(t *testing.T) {
 						t.Fatalf("request %d never dispatched", r.ID)
 					}
 					if veh != want[i] {
-						t.Fatalf("request %d assigned to %d, untraced sequential chose %d",
+						t.Fatalf("request %d assigned to %d, untraced direct feed chose %d",
 							r.ID, veh, want[i])
 					}
 				}

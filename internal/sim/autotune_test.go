@@ -25,7 +25,7 @@ func lineGraph(t *testing.T, coords [][2]float64) *roadnet.Graph {
 }
 
 func TestDeriveCellSizeDeterministic(t *testing.T) {
-	g, _, _ := testSetup(t, 0)
+	g, _ := testSetup(t)
 	for _, servers := range []int{1, 10, 500, 10000, 100000} {
 		a := DeriveCellSize(g, servers)
 		b := DeriveCellSize(g, servers)
@@ -94,42 +94,23 @@ func TestDeriveShards(t *testing.T) {
 	}
 }
 
-// TestAutoTuneRespectsOverrides checks that explicitly configured values
-// always beat derivation, and that the used values surface in Metrics.
+// TestAutoTuneRespectsOverrides checks that an explicitly configured cell
+// size always beats derivation, and that AutoTune off keeps the static
+// default. (The engine surfaces the resolved values in Metrics; see
+// internal/dispatch TestTuningSurfaced.)
 func TestAutoTuneRespectsOverrides(t *testing.T) {
-	g, oracle, _ := testSetup(t, 0)
-
-	explicit := Config{Graph: g, Oracle: oracle, Servers: 50, AutoTune: true, CellSize: 123}
-	s, err := New(explicit)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if got := s.Metrics().TunedCellSize; got != 123 {
-		t.Fatalf("explicit CellSize overridden: got %v, want 123", got)
-	}
-	if !s.Metrics().AutoTuned {
-		t.Fatalf("AutoTuned flag not surfaced")
-	}
-
-	derived := Config{Graph: g, Oracle: oracle, Servers: 50, AutoTune: true}
-	s2, err := New(derived)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	want := DeriveCellSize(g, 50)
-	if got := s2.Metrics().TunedCellSize; got != want {
-		t.Fatalf("derived CellSize: got %v, want %v", got, want)
-	}
-
-	off := Config{Graph: g, Oracle: oracle, Servers: 50}
-	s3, err := New(off)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if got := s3.Metrics().TunedCellSize; got != DefaultCellSize {
-		t.Fatalf("AutoTune off: got cell size %v, want default %v", got, DefaultCellSize)
-	}
-	if s3.Metrics().AutoTuned {
-		t.Fatalf("AutoTuned flag set without AutoTune")
+	g, oracle := testSetup(t)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want float64
+	}{
+		{"explicit", Config{Graph: g, Servers: 50, AutoTune: true, CellSize: 123}, 123},
+		{"derived", Config{Graph: g, Servers: 50, AutoTune: true}, DeriveCellSize(g, 50)},
+		{"off", Config{Graph: g, Servers: 50}, DefaultCellSize},
+	} {
+		if got := NewWorker(tc.cfg, oracle, NewMetrics()).CellSize(); got != tc.want {
+			t.Errorf("%s: cell size %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

@@ -1,8 +1,9 @@
-// Package sim is the simulation framework of the paper's evaluation (§VI):
-// it replays a stream of trip requests against a fleet of servers moving on
-// the road network, matching each request to the vehicle that can serve it
-// at minimum augmented-schedule cost, and measures the matching performance
-// (ACRT and ART) together with service statistics.
+// Package sim is the simulation model of the paper's evaluation (§VI): the
+// run configuration and request type, the per-vehicle mechanics of a fleet
+// of servers moving on the road network (Worker and Vehicle: movement,
+// trial scheduling, commits, service accounting), and the measurements —
+// matching performance (ACRT and ART) together with service statistics.
+// The matching loop that drives them is internal/dispatch.
 package sim
 
 import (
@@ -26,7 +27,7 @@ type Metrics struct {
 	acrtTotal time.Duration
 
 	// ACRTSamples counts the AddACRT calls folded into acrtTotal. Both
-	// engines attribute search time per request — immediate mode records
+	// engine modes attribute search time per request — immediate mode records
 	// one sample per Submit, batch mode one per batch item (its share of
 	// the phase-1 fan-out plus any conflict-repair retrial) — so a run
 	// with consistent accounting has ACRTSamples == Requests.
@@ -122,11 +123,11 @@ type Metrics struct {
 	IngressWait *obs.Histogram
 
 	// Engine-capacity parameters the run actually used — derived when
-	// Config.AutoTune is set, configured otherwise. The engines record
+	// Config.AutoTune is set, configured otherwise. The engine records
 	// them at construction; shard-local metrics leave them zero, and
 	// Merge keeps the maximum so aggregation never erases them.
 	AutoTuned     bool    // Config.AutoTune was set
-	TunedShards   int     // fleet partition count (1 for the sequential Simulator)
+	TunedShards   int     // fleet partition count
 	TunedCellSize float64 // spatial-index cell size in meters
 }
 
@@ -140,8 +141,8 @@ func (m *Metrics) SetTuning(shards int, cellSize float64, auto bool) {
 }
 
 // CacheStatser is implemented by caching oracle stacks that report
-// cumulative hit/miss counters (cache.Oracle, cache.Shared). The engines
-// use it to fold cache efficacy into their Metrics.
+// cumulative hit/miss counters (cache.Oracle, cache.Shared). The engine
+// uses it to fold cache efficacy into its Metrics.
 type CacheStatser interface {
 	DistStats() (hits, misses uint64)
 	PathStats() (hits, misses uint64)
@@ -149,13 +150,15 @@ type CacheStatser interface {
 
 // CacheLatencyStatser is implemented by oracle stacks that additionally
 // sample shortest-path distance lookup latency split by cache outcome
-// (cache.Oracle, cache.Shared). The engines fold the sampled hit/miss
-// distributions into their Metrics on read.
+// (cache.Oracle, cache.Shared). The engine folds the sampled hit/miss
+// distributions into its Metrics on read.
 type CacheLatencyStatser interface {
 	DistLatency() (hit, miss *obs.Histogram)
 }
 
-func newMetrics() *Metrics {
+// NewMetrics returns an empty metrics sink. The dispatch engine gives each
+// shard its own and merges them on read.
+func NewMetrics() *Metrics {
 	return &Metrics{
 		artTotal:        make(map[int]time.Duration),
 		artCount:        make(map[int]int),
@@ -199,20 +202,13 @@ func (m *Metrics) ARTBuckets() []int {
 	return out
 }
 
-func (m *Metrics) recordACRT(d time.Duration) {
+// AddACRT adds one request's match-search wall time (the dispatch engine's
+// fan-out/reduce latency) to the response-time total.
+func (m *Metrics) AddACRT(d time.Duration) {
 	m.acrtTotal += d
 	m.ACRTSamples++
 	m.MatchLatency.Record(d.Nanoseconds())
 }
-
-// NewMetrics returns an empty metrics sink. The sharded dispatch engine
-// gives each shard its own and merges them on read.
-func NewMetrics() *Metrics { return newMetrics() }
-
-// AddACRT adds one request's match-search wall time to the response-time
-// total; the dispatch engine records its fan-out/reduce latency here the
-// way Submit does for the sequential scan.
-func (m *Metrics) AddACRT(d time.Duration) { m.recordACRT(d) }
 
 // Merge folds o into m: counters and totals add, ART buckets combine,
 // histograms merge (equivalent to recording the union of their samples),

@@ -18,7 +18,7 @@ func recordRandom(m *Metrics, r *rand.Rand, n int) {
 		} else {
 			m.Rejected++
 		}
-		m.recordACRT(time.Duration(r.Intn(1_000_000)))
+		m.AddACRT(time.Duration(r.Intn(1_000_000)))
 		m.recordART(r.Intn(6), time.Duration(r.Intn(100_000)))
 		if r.Intn(3) == 0 {
 			m.TrialFailures++
@@ -50,15 +50,15 @@ func TestMergeRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		sizes := []int{137, 71, 203}
 		// whole records every part's samples in sequence.
-		whole := newMetrics()
+		whole := NewMetrics()
 		parts := make([]*Metrics, len(sizes))
 		for i, n := range sizes {
 			recordRandom(whole, rand.New(rand.NewSource(seed*10+int64(i))), n)
-			parts[i] = newMetrics()
+			parts[i] = NewMetrics()
 			recordRandom(parts[i], rand.New(rand.NewSource(seed*10+int64(i))), n)
 		}
 
-		merged := newMetrics()
+		merged := NewMetrics()
 		for _, p := range parts {
 			merged.Merge(p)
 		}
@@ -68,7 +68,7 @@ func TestMergeRoundTrip(t *testing.T) {
 		}
 
 		// Commutativity: reverse merge order, same snapshot.
-		rev := newMetrics()
+		rev := NewMetrics()
 		for i := len(parts) - 1; i >= 0; i-- {
 			rev.Merge(parts[i])
 		}
@@ -77,14 +77,14 @@ func TestMergeRoundTrip(t *testing.T) {
 		}
 
 		// Associativity: (a+b)+c vs a+(b+c).
-		ab := newMetrics()
+		ab := NewMetrics()
 		ab.Merge(parts[0])
 		ab.Merge(parts[1])
 		ab.Merge(parts[2])
-		bc := newMetrics()
+		bc := NewMetrics()
 		bc.Merge(parts[1])
 		bc.Merge(parts[2])
-		aBC := newMetrics()
+		aBC := NewMetrics()
 		aBC.Merge(parts[0])
 		aBC.Merge(bc)
 		if !reflect.DeepEqual(ab.Snapshot(), aBC.Snapshot()) {
@@ -92,7 +92,7 @@ func TestMergeRoundTrip(t *testing.T) {
 		}
 
 		// Identity: merging an empty metrics changes nothing.
-		merged.Merge(newMetrics())
+		merged.Merge(NewMetrics())
 		if !reflect.DeepEqual(merged.Snapshot(), whole.Snapshot()) {
 			t.Fatalf("seed %d: empty merge is not the identity", seed)
 		}
@@ -104,7 +104,7 @@ func TestMergeRoundTrip(t *testing.T) {
 // fixed size (histogram counters), and quantile queries stay cheap and
 // sane.
 func TestMetricsHistogramsBounded(t *testing.T) {
-	m := newMetrics()
+	m := NewMetrics()
 	r := rand.New(rand.NewSource(42))
 	const n = 1_000_000
 	for i := 0; i < n; i++ {

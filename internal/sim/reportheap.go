@@ -9,9 +9,9 @@ type Report struct {
 }
 
 // ReportHeap is a hand-rolled binary min-heap of Reports ordered by
-// (Due, Veh). It replaces the container/heap implementation both engines
-// used before: container/heap's Push(any)/Pop() any interface boxes every
-// Report on every operation, and at city scale the report drain is the
+// (Due, Veh). Hand-rolled rather than container/heap because
+// container/heap's Push(any)/Pop() any interface boxes every Report on
+// every operation, and at city scale the report drain is the
 // single largest allocation site on the hot path (~79% of all objects in
 // the dispatch throughput profile). A value-typed heap allocates only when
 // the backing array grows, and ReplaceMin lets the drain loop reschedule
@@ -20,7 +20,7 @@ type Report struct {
 // Ties on Due are broken by Veh so the pop order is canonical — vehicle
 // position refreshes commute (each touches only its own vehicle and index
 // entry), but a deterministic order keeps traces and debugging stable
-// across runs and engines.
+// across runs and shard counts.
 type ReportHeap []Report
 
 // Len returns the number of pending reports.

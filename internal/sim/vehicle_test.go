@@ -5,31 +5,40 @@ import (
 	"testing"
 
 	"repro/internal/roadnet"
+	"repro/internal/sp"
 )
 
-// newIdleSim builds a 1-vehicle simulator for motion tests.
-func newIdleSim(t *testing.T, algo Algorithm) *Simulator {
+// idleVehicle is a one-vehicle fleet driven directly through its Worker,
+// the way the dispatch engine's shards drive theirs.
+type idleVehicle struct {
+	g      *roadnet.Graph
+	oracle sp.Oracle
+	w      *Worker
+	v      *Vehicle
+	m      *Metrics
+}
+
+func newIdleVehicle(t *testing.T, algo Algorithm) idleVehicle {
 	t.Helper()
-	g, oracle, _ := testSetup(t, 1)
-	s, err := New(Config{Graph: g, Oracle: oracle, Servers: 1, Capacity: 4, Algorithm: algo, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	g, oracle := testSetup(t)
+	cfg := Config{Graph: g, Oracle: oracle, Servers: 1, Capacity: 4, Algorithm: algo, Seed: 3}
+	m := NewMetrics()
+	w := NewWorker(cfg, oracle, m)
+	return idleVehicle{g: g, oracle: oracle, w: w, v: w.NewVehicle(0, Placements(cfg)[0].Loc), m: m}
 }
 
 // TestCruiseConsumesBudget: an idle vehicle moves at roadnet.Speed and its
 // odometer tracks elapsed time.
 func TestCruiseConsumesBudget(t *testing.T) {
-	s := newIdleSim(t, AlgoTreeSlack)
-	v := s.vehicles[0]
-	s.advanceTo(v, 100) // 100 seconds = 1400 m of driving budget
+	s := newIdleVehicle(t, AlgoTreeSlack)
+	v := s.v
+	s.w.AdvanceTo(v, 100) // 100 seconds = 1400 m of driving budget
 	if v.odo > 100*roadnet.Speed+1e-6 {
 		t.Fatalf("odometer %v exceeds budget %v", v.odo, 100*roadnet.Speed)
 	}
 	// Vertex-granular motion can leave at most one edge of slack.
 	maxEdge := 0.0
-	ts, ws := s.graph.Neighbors(v.loc)
+	ts, ws := s.g.Neighbors(v.loc)
 	for i := range ts {
 		maxEdge = math.Max(maxEdge, ws[i])
 	}
@@ -43,90 +52,60 @@ func TestCruiseConsumesBudget(t *testing.T) {
 
 // TestAdvanceToIsMonotonic: advancing to an earlier time is a no-op.
 func TestAdvanceToIsMonotonic(t *testing.T) {
-	s := newIdleSim(t, AlgoTreeSlack)
-	v := s.vehicles[0]
-	s.advanceTo(v, 50)
+	s := newIdleVehicle(t, AlgoTreeSlack)
+	v := s.v
+	s.w.AdvanceTo(v, 50)
 	odo := v.odo
-	s.advanceTo(v, 10)
+	s.w.AdvanceTo(v, 10)
 	if v.odo != odo || v.clock != 50 {
-		t.Fatal("advanceTo went backwards")
+		t.Fatal("AdvanceTo went backwards")
 	}
 }
 
-// TestServeDeliversPassenger: submit one request near the vehicle and drive
+// TestServeDeliversPassenger: commit one request near the vehicle and drive
 // until both stops are served; accounting must record the wait and ride.
 func TestServeDeliversPassenger(t *testing.T) {
 	for _, algo := range []Algorithm{AlgoTreeSlack, AlgoBranchBound} {
-		s := newIdleSim(t, algo)
-		v := s.vehicles[0]
+		s := newIdleVehicle(t, algo)
+		v := s.v
 		// Pick stops reachable well within the waiting budget.
 		pickup := v.loc
 		var dropoff roadnet.VertexID
-		for d := 0; d < s.graph.N(); d++ {
+		for d := 0; d < s.g.N(); d++ {
 			dd := s.oracle.Dist(pickup, roadnet.VertexID(d))
 			if dd > 1500 && dd < 4000 {
 				dropoff = roadnet.VertexID(d)
 				break
 			}
 		}
-		matched, veh := s.Submit(Request{ID: 7, Time: 1, Pickup: pickup, Dropoff: dropoff})
-		if !matched || veh != 0 {
-			t.Fatalf("%v: request not matched to the only vehicle (matched=%v veh=%d)", algo, matched, veh)
+		req := Request{ID: 7, Time: 1, Pickup: pickup, Dropoff: dropoff}
+		waitMeters, eps := s.w.Budget(req)
+		px, py := s.g.Coord(req.Pickup)
+		s.w.AdvanceTo(v, req.Time)
+		tr, ok := s.w.Trial(v, req, px, py, waitMeters, eps)
+		if !ok {
+			t.Fatalf("%v: the only vehicle cannot serve a request at its own position", algo)
 		}
-		s.advanceTo(v, 4000) // plenty of time to finish
+		s.w.Commit(v, tr)
+		s.w.AdvanceTo(v, 4000) // plenty of time to finish
 		if v.Busy() {
 			t.Fatalf("%v: vehicle still busy after an hour", algo)
 		}
-		if s.metrics.Completed != 1 {
-			t.Fatalf("%v: completed=%d", algo, s.metrics.Completed)
+		if s.m.Matched != 1 || s.m.Completed != 1 {
+			t.Fatalf("%v: matched=%d completed=%d", algo, s.m.Matched, s.m.Completed)
 		}
-		if s.metrics.Violations != 0 {
-			t.Fatalf("%v: violations=%d", algo, s.metrics.Violations)
+		if s.m.Violations != 0 {
+			t.Fatalf("%v: violations=%d", algo, s.m.Violations)
 		}
-		if s.metrics.TotalRideMeters <= 0 || s.metrics.TotalWaitMeters < 0 {
-			t.Fatalf("%v: accounting wait=%v ride=%v", algo, s.metrics.TotalWaitMeters, s.metrics.TotalRideMeters)
+		if s.m.TotalRideMeters <= 0 || s.m.TotalWaitMeters < 0 {
+			t.Fatalf("%v: accounting wait=%v ride=%v", algo, s.m.TotalWaitMeters, s.m.TotalRideMeters)
 		}
-	}
-}
-
-// TestRejectedWhenNoServerInRange: a request far from the only (pinned)
-// vehicle must be rejected.
-func TestRejectedWhenNoServerInRange(t *testing.T) {
-	g, oracle, _ := testSetup(t, 1)
-	s, err := New(Config{
-		Graph: g, Oracle: oracle, Servers: 1, Capacity: 4,
-		Algorithm:   AlgoTreeSlack,
-		WaitSeconds: 30, // 420 m of waiting budget
-		Seed:        3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := s.vehicles[0]
-	// Find a pickup more than the waiting budget away from the vehicle.
-	var far roadnet.VertexID = -1
-	for d := 0; d < g.N(); d++ {
-		if oracle.Dist(v.loc, roadnet.VertexID(d)) > 2000 {
-			far = roadnet.VertexID(d)
-			break
-		}
-	}
-	if far < 0 {
-		t.Skip("graph too small")
-	}
-	ts, _ := g.Neighbors(far)
-	matched, _ := s.Submit(Request{ID: 1, Time: 0.1, Pickup: far, Dropoff: ts[0]})
-	if matched {
-		t.Fatal("matched a request outside every server's waiting range")
-	}
-	if s.metrics.Rejected != 1 {
-		t.Fatalf("rejected=%d", s.metrics.Rejected)
 	}
 }
 
 // TestMetricsARTBuckets checks bucket bookkeeping.
 func TestMetricsARTBuckets(t *testing.T) {
-	m := newMetrics()
+	m := NewMetrics()
 	m.recordART(0, 100)
 	m.recordART(0, 300)
 	m.recordART(2, 500)
@@ -147,7 +126,7 @@ func TestMetricsARTBuckets(t *testing.T) {
 
 // TestOccupancyStats checks the top-20% computation.
 func TestOccupancyStats(t *testing.T) {
-	m := newMetrics()
+	m := NewMetrics()
 	for _, p := range []int{1, 1, 1, 1, 2, 2, 3, 3, 4, 17} {
 		m.AddOccupancy(p)
 	}
@@ -162,7 +141,7 @@ func TestOccupancyStats(t *testing.T) {
 	if math.Abs(top-10.5) > 1e-9 {
 		t.Fatalf("top20=%v", top)
 	}
-	empty := newMetrics()
+	empty := NewMetrics()
 	if a, b, c := empty.OccupancyStats(); a != 0 || b != 0 || c != 0 {
 		t.Fatal("empty occupancy stats not zero")
 	}
@@ -170,12 +149,12 @@ func TestOccupancyStats(t *testing.T) {
 
 // TestSnapshotRoundTrip checks the JSON view mirrors the metrics.
 func TestSnapshotRoundTrip(t *testing.T) {
-	m := newMetrics()
+	m := NewMetrics()
 	m.Requests = 10
 	m.Matched = 8
 	m.Rejected = 2
 	m.Completed = 8
-	m.recordACRT(1000)
+	m.AddACRT(1000)
 	m.recordART(3, 500)
 	m.AddOccupancy(2)
 	m.AddOccupancy(4)
@@ -191,54 +170,5 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if s.OccupancyMax != 4 || s.OccupancyMean != 3 {
 		t.Fatalf("occupancy: %+v", s)
-	}
-}
-
-// TestIndividualizedConstraints: a request with a personal waiting budget
-// larger than the fleet default can be matched where the default could not.
-func TestIndividualizedConstraints(t *testing.T) {
-	g, oracle, _ := testSetup(t, 1)
-	mk := func() *Simulator {
-		s, err := New(Config{
-			Graph: g, Oracle: oracle, Servers: 1, Capacity: 4,
-			Algorithm:   AlgoTreeSlack,
-			WaitSeconds: 60, // tight fleet default: 840 m
-			Seed:        3,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	s := mk()
-	v := s.vehicles[0]
-	var far roadnet.VertexID = -1
-	for d := 0; d < g.N(); d++ {
-		dd := oracle.Dist(v.loc, roadnet.VertexID(d))
-		if dd > 2000 && dd < 5000 {
-			far = roadnet.VertexID(d)
-			break
-		}
-	}
-	if far < 0 {
-		t.Skip("graph too small")
-	}
-	ts, _ := g.Neighbors(far)
-	drop := ts[0]
-
-	if matched, _ := s.Submit(Request{ID: 1, Time: 0.1, Pickup: far, Dropoff: drop}); matched {
-		t.Fatal("default budget should not reach the far pickup")
-	}
-	s2 := mk()
-	matched, _ := s2.Submit(Request{
-		ID: 1, Time: 0.1, Pickup: far, Dropoff: drop,
-		WaitSeconds: 900, // 12.6 km personal budget
-	})
-	if !matched {
-		t.Fatal("personal waiting budget should make the far pickup reachable")
-	}
-	s2.Drain()
-	if s2.metrics.Violations != 0 {
-		t.Fatalf("violations=%d with individualized constraint", s2.metrics.Violations)
 	}
 }

@@ -13,12 +13,12 @@ import (
 
 // Worker executes the per-vehicle mechanics of the simulation — movement,
 // trial scheduling, commits, and service accounting — against one oracle and
-// one metrics sink. The sequential Simulator drives a single Worker over the
-// whole fleet; the sharded dispatch engine (internal/dispatch) drives one
-// Worker per shard, each with its own per-goroutine oracle — a fully
-// private engine, or a cache.SharedWorker facade whose distance lookups go
-// through the fleet-wide concurrency-safe cache — so no unsynchronized
-// oracle state is ever shared across goroutines.
+// one metrics sink. The dispatch engine (internal/dispatch) drives one
+// Worker per shard — a single Worker over the whole fleet at one shard —
+// each with its own per-goroutine oracle: a fully private engine, or a
+// cache.SharedWorker facade whose distance lookups go through the
+// fleet-wide concurrency-safe cache, so no unsynchronized oracle state is
+// ever shared across goroutines.
 //
 // A Worker itself is not safe for concurrent use; concurrency comes from
 // running disjoint Workers over disjoint vehicles.
@@ -55,7 +55,7 @@ func NewWorker(cfg Config, oracle sp.Oracle, m *Metrics) *Worker {
 
 // SetTrace attaches a lifecycle-event ring and live counter set to the
 // worker. Both may be nil (the default): emission is then a no-op. The
-// engines call this once at construction, before any request is driven.
+// engine calls this once at construction, before any request is driven.
 func (w *Worker) SetTrace(ring *obs.Ring, live *obs.Live) {
 	w.ring = ring
 	w.live = live
@@ -103,10 +103,10 @@ type Placement struct {
 }
 
 // Placements returns the initial fleet layout for cfg ("a vehicle is
-// initialized to a random vertex in the city", §VI). The sequential
-// Simulator and the sharded dispatch engine both place their fleets with
-// this, which is what makes their matching decisions comparable
-// bit-for-bit regardless of how the fleet is partitioned.
+// initialized to a random vertex in the city", §VI). The layout depends
+// only on the seed, never on the shard count, which is what makes matching
+// decisions comparable bit-for-bit regardless of how the fleet is
+// partitioned.
 func Placements(cfg Config) []Placement {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -172,7 +172,7 @@ type Trial struct {
 // Release returns the trial's retained candidate tree to the node pool.
 // Call it when the trial has definitively lost and will never be
 // committed; releasing a trial whose candidate was already committed (or
-// already released) is a no-op, so engines may sweep-release every trial
+// already released) is a no-op, so the engine may sweep-release every trial
 // of a request after the winner commits. A released trial must not be
 // committed afterwards. Stateless-scheduler trials hold no tree and
 // release nothing.

@@ -21,8 +21,7 @@ type ObjectID int32
 // Safe for concurrent use: queries (Within, Len, Stats) take a read lock
 // and writes (Insert, Update, Remove) a write lock, so any number of
 // concurrent readers can run against a vehicle-relocation writer. The
-// sequential simulator and the dispatch shards still drive their indexes
-// from one goroutine at a time — the lock is uncontended there — but the
+// dispatch shards still drive their indexes from one goroutine at a time — the lock is uncontended there — but the
 // index no longer relies on it, so a concurrent front door can consult
 // fleet positions while position reports relocate vehicles.
 // Cells are sorted ID slices rather than maps: queries dominate the
