@@ -1,333 +1,45 @@
-// Package repro's root benchmark harness: one benchmark per table and
-// figure of the paper's evaluation (§VI). DESIGN.md §4 maps each figure to
-// its benchmark. Two kinds of benchmarks appear here:
-//
-//   - ART benchmarks (Figs. 6a, 7a, 8a/b, 9a/b) measure one scheduling
-//     trial on a prepared vehicle state with k active requests — exactly
-//     the quantity those figures plot;
-//   - ACRT benchmarks (Table I/II, Figs. 6b/c, 7b/c, 9c, occupancy) replay
-//     a full miniature simulation, measuring end-to-end request matching.
+// Package repro's root benchmark harness: the dispatch, batch, ingress,
+// city-scale and overload benchmarks CI runs and validates (`Benchmark
+// smoke`, benchcheck). Every engine and gateway here comes from
+// pipeline.Build, so these measure the stack ridesim runs. The paper's
+// tables and figures (§VI) are regenerated by cmd/experiments.
 //
 // Run with: go test -bench=. -benchmem
 package repro
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
-	"repro/internal/cache"
-	"repro/internal/core"
-	"repro/internal/dispatch"
 	"repro/internal/exp"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/roadnet"
 	"repro/internal/sim"
-	"repro/internal/sp"
 )
 
-// benchWorld is a small city shared by all benchmarks (static after init).
-type benchWorld struct {
-	g      *roadnet.Graph
-	oracle sp.Oracle
-	reqs   []sim.Request
+// benchSpec is ridesim's default stack at the fleet seed and cache sizes
+// these benchmarks have always used (the paper-sized 10M-entry distance
+// cache would dominate set-up on their small cities).
+func benchSpec(servers, workers int) pipeline.Spec {
+	s := pipeline.Default()
+	s.Servers = servers
+	s.Workers = workers
+	s.Seed = 9
+	s.DistCache, s.PathCache = 1<<20, 1<<12
+	return s
 }
 
-var worldCache = map[int64]*benchWorld{}
-
-func getWorld(b *testing.B, seed int64) *benchWorld {
+// build assembles spec over g or fails the benchmark.
+func build(b *testing.B, g *roadnet.Graph, spec pipeline.Spec, hooks pipeline.Hooks) *pipeline.Pipeline {
 	b.Helper()
-	if w, ok := worldCache[seed]; ok {
-		return w
-	}
-	world, err := exp.BuildWorld(exp.WorldOptions{Scale: 0.004, Trips: 150, Seed: seed})
+	p, err := pipeline.Build(g, spec, hooks)
 	if err != nil {
 		b.Fatal(err)
 	}
-	w := &benchWorld{
-		g:      world.Graph,
-		oracle: cache.New(sp.NewBidirectional(world.Graph), world.Graph.N(), 1<<20, 1<<12),
-		reqs:   world.Requests,
-	}
-	worldCache[seed] = w
-	return w
-}
-
-// scenario is a prepared vehicle state plus a new request to trial-insert.
-type scenario struct {
-	tree  *core.Tree     // fresh clone source is impossible; tree scenarios trial and discard
-	inst  *core.Instance // for stateless schedulers (includes the new trip last)
-	trial core.TripState
-}
-
-// makeScenarios builds vehicle states carrying k active trips under the
-// given constraints, paired with a new nearby request.
-func makeScenarios(b *testing.B, w *benchWorld, count, k, capacity int, waitMin, eps float64, treeOpts core.TreeOptions) []scenario {
-	b.Helper()
-	rng := rand.New(rand.NewSource(int64(k)*1000 + 7))
-	waitMeters := waitMin * 60 * roadnet.Speed
-	n := int32(w.g.N())
-	var out []scenario
-	for attempts := 0; len(out) < count && attempts < count*200; attempts++ {
-		origin := roadnet.VertexID(rng.Int31n(n))
-		opts := treeOpts
-		opts.Capacity = capacity
-		tree := core.NewTree(w.oracle, origin, 0, opts)
-		var trips []core.TripState
-		ok := true
-		for len(trips) < k {
-			s := roadnet.VertexID(rng.Int31n(n))
-			e := roadnet.VertexID(rng.Int31n(n))
-			if s == e {
-				continue
-			}
-			ts, err := core.NewTripState(int64(len(trips)), s, e, waitMeters, eps, tree.Odo(), w.oracle)
-			if err != nil {
-				continue
-			}
-			cand, accepted, err := tree.TrialInsert(ts)
-			if err != nil || !accepted {
-				// This state can't grow to k trips; give up on it.
-				if len(trips) == 0 {
-					ok = false
-					break
-				}
-				continue
-			}
-			tree.Commit(cand)
-			trips = append(trips, ts)
-			if len(trips) == k {
-				break
-			}
-		}
-		if !ok || len(trips) < k {
-			continue
-		}
-		// The new request to trial.
-		var trial core.TripState
-		for {
-			s := roadnet.VertexID(rng.Int31n(n))
-			e := roadnet.VertexID(rng.Int31n(n))
-			if s == e {
-				continue
-			}
-			ts, err := core.NewTripState(int64(k), s, e, waitMeters, eps, tree.Odo(), w.oracle)
-			if err != nil {
-				continue
-			}
-			trial = ts
-			break
-		}
-		inst := &core.Instance{Origin: origin, Odo: 0, Capacity: capacity}
-		inst.Trips = append(inst.Trips, trips...)
-		inst.Trips = append(inst.Trips, trial)
-		out = append(out, scenario{tree: tree, inst: inst, trial: trial})
-	}
-	if len(out) == 0 {
-		b.Fatalf("could not build any scenario with k=%d", k)
-	}
-	return out
-}
-
-// benchART measures one scheduling trial per iteration.
-func benchART(b *testing.B, w *benchWorld, algo string, scens []scenario) {
-	var sched core.Scheduler
-	switch algo {
-	case "bruteforce":
-		sched = core.NewBruteForce(w.oracle)
-	case "branchbound":
-		sched = core.NewBranchBound(w.oracle)
-	case "mip":
-		m := core.NewMIPScheduler(w.oracle, 20000)
-		m.SetTimeBudget(50 * time.Millisecond) // as in the simulator
-		sched = m
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc := scens[i%len(scens)]
-		if sched != nil {
-			res := sched.Schedule(sc.inst)
-			_ = res
-		} else {
-			cand, ok, err := sc.tree.TrialInsert(sc.trial)
-			_ = cand
-			_ = ok
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// artBenchmark runs the ART benchmark grid for one figure.
-func artBenchmark(b *testing.B, ks []int, capacity int, waitMin, eps float64, algos []string) {
-	w := getWorld(b, 1)
-	for _, k := range ks {
-		for _, algo := range algos {
-			b.Run(fmt.Sprintf("req=%d/%s", k, algo), func(b *testing.B) {
-				opts := core.TreeOptions{}
-				switch algo {
-				case "ktree-slack":
-					opts.Slack = true
-				case "ktree-hotspot":
-					opts.Slack = true
-					opts.HotspotTheta = 300
-				}
-				scens := makeScenarios(b, w, 8, k, capacity, waitMin, eps, opts)
-				benchART(b, w, algo, scens)
-			})
-		}
-	}
-}
-
-// BenchmarkFig6a: ART vs scheduled requests, four algorithms
-// (capacity 4, 10 min / 20%).
-func BenchmarkFig6a(b *testing.B) {
-	artBenchmark(b, []int{0, 1, 2, 3}, 4, 10, 0.2,
-		[]string{"ktree-slack", "branchbound", "bruteforce", "mip"})
-}
-
-// BenchmarkFig7a: ART vs scheduled requests, tree variants
-// (capacity 6, 10 min / 20%).
-func BenchmarkFig7a(b *testing.B) {
-	artBenchmark(b, []int{0, 2, 4, 6}, 6, 10, 0.2,
-		[]string{"ktree", "ktree-slack", "ktree-hotspot"})
-}
-
-// BenchmarkFig8a: ART at 4 scheduled requests vs constraints, four
-// algorithms.
-func BenchmarkFig8a(b *testing.B) {
-	w := getWorld(b, 1)
-	for _, c := range exp.Constraints {
-		for _, algo := range []string{"ktree-slack", "branchbound", "bruteforce", "mip"} {
-			b.Run(fmt.Sprintf("%dmin-%dpct/%s", c.WaitMinutes, c.EpsPercent, algo), func(b *testing.B) {
-				opts := core.TreeOptions{Slack: true}
-				scens := makeScenarios(b, w, 8, 4, 4, float64(c.WaitMinutes), float64(c.EpsPercent)/100, opts)
-				benchART(b, w, algo, scens)
-			})
-		}
-	}
-}
-
-// BenchmarkFig8b: the servers dimension of Fig. 8 varies fleet density, not
-// the per-trial problem, so the bench varies the trial workload clustering
-// instead (more servers = less clustered per-vehicle load in the paper).
-func BenchmarkFig8b(b *testing.B) {
-	artBenchmark(b, []int{4}, 4, 10, 0.2,
-		[]string{"ktree-slack", "branchbound", "bruteforce", "mip"})
-}
-
-// BenchmarkFig9a: ART at 6 scheduled requests vs constraints, tree variants.
-func BenchmarkFig9a(b *testing.B) {
-	w := getWorld(b, 1)
-	for _, c := range exp.Constraints {
-		for _, algo := range []string{"ktree", "ktree-slack", "ktree-hotspot"} {
-			b.Run(fmt.Sprintf("%dmin-%dpct/%s", c.WaitMinutes, c.EpsPercent, algo), func(b *testing.B) {
-				opts := core.TreeOptions{}
-				switch algo {
-				case "ktree-slack":
-					opts.Slack = true
-				case "ktree-hotspot":
-					opts.Slack = true
-					opts.HotspotTheta = 300
-				}
-				scens := makeScenarios(b, w, 8, 6, 6, float64(c.WaitMinutes), float64(c.EpsPercent)/100, opts)
-				benchART(b, w, algo, scens)
-			})
-		}
-	}
-}
-
-// BenchmarkFig9b: ART at 6 scheduled requests, tree variants (fleet-size
-// dimension realized as per-vehicle load, as in Fig. 8b).
-func BenchmarkFig9b(b *testing.B) {
-	artBenchmark(b, []int{6}, 6, 10, 0.2,
-		[]string{"ktree", "ktree-slack", "ktree-hotspot"})
-}
-
-// runWorld replays the benchmark workload through one default (single
-// worker, inline) dispatch engine and checks its invariants.
-func runWorld(b *testing.B, w *benchWorld, algo sim.Algorithm, servers, capacity int) *sim.Metrics {
-	m, err := exp.Simulate(sim.Config{
-		Graph:     w.g,
-		Oracle:    w.oracle,
-		Servers:   servers,
-		Capacity:  capacity,
-		Algorithm: algo,
-		Seed:      9,
-	}, w.reqs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m
-}
-
-// simBenchmark replays the benchmark workload through one configuration.
-func simBenchmark(b *testing.B, algo sim.Algorithm, servers, capacity int) {
-	w := getWorld(b, 2)
-	for i := 0; i < b.N; i++ {
-		m := runWorld(b, w, algo, servers, capacity)
-		b.ReportMetric(float64(m.ACRT().Nanoseconds()), "acrt-ns")
-	}
-}
-
-// BenchmarkTable1: full matching runs at the four-algorithm defaults.
-func BenchmarkTable1(b *testing.B) {
-	for _, algo := range []sim.Algorithm{
-		sim.AlgoTreeSlack, sim.AlgoBranchBound, sim.AlgoBruteForce, sim.AlgoMIP,
-	} {
-		b.Run(algo.String(), func(b *testing.B) { simBenchmark(b, algo, 40, 4) })
-	}
-}
-
-// BenchmarkTable2 and BenchmarkFig7bc: full matching runs at the tree
-// defaults (capacity 6, smaller fleet).
-func BenchmarkTable2(b *testing.B) {
-	for _, algo := range []sim.Algorithm{
-		sim.AlgoTreeBasic, sim.AlgoTreeSlack, sim.AlgoTreeHotspot,
-	} {
-		b.Run(algo.String(), func(b *testing.B) { simBenchmark(b, algo, 8, 6) })
-	}
-}
-
-// BenchmarkFig6bc: the constraint/fleet sweeps of Figs. 6b/6c at their
-// default point (the full sweep is cmd/experiments -exp fig6b,fig6c).
-func BenchmarkFig6bc(b *testing.B) {
-	for _, servers := range []int{10, 40, 80} {
-		b.Run(fmt.Sprintf("servers=%d/ktree-slack", servers), func(b *testing.B) {
-			simBenchmark(b, sim.AlgoTreeSlack, servers, 4)
-		})
-		b.Run(fmt.Sprintf("servers=%d/branchbound", servers), func(b *testing.B) {
-			simBenchmark(b, sim.AlgoBranchBound, servers, 4)
-		})
-	}
-}
-
-// BenchmarkFig7bc: tree-variant fleet sweep at the tree defaults.
-func BenchmarkFig7bc(b *testing.B) {
-	for _, servers := range []int{4, 8, 20} {
-		for _, algo := range []sim.Algorithm{sim.AlgoTreeBasic, sim.AlgoTreeSlack, sim.AlgoTreeHotspot} {
-			b.Run(fmt.Sprintf("servers=%d/%s", servers, algo), func(b *testing.B) {
-				simBenchmark(b, algo, servers, 6)
-			})
-		}
-	}
-}
-
-// BenchmarkFig9c: capacity sweep including unlimited (capacity 0), tree
-// variants; the hotspot variant is the one expected to stay flat.
-func BenchmarkFig9c(b *testing.B) {
-	for _, capacity := range []int{4, 6, 8, 0} {
-		for _, algo := range []sim.Algorithm{sim.AlgoTreeSlack, sim.AlgoTreeHotspot} {
-			name := fmt.Sprintf("cap=%d/%s", capacity, algo)
-			if capacity == 0 {
-				name = fmt.Sprintf("cap=unlim/%s", algo)
-			}
-			b.Run(name, func(b *testing.B) { simBenchmark(b, algo, 8, capacity) })
-		}
-	}
+	return p
 }
 
 // BenchmarkDispatchThroughput: end-to-end matching throughput (requests/sec)
@@ -343,9 +55,6 @@ func BenchmarkDispatchThroughput(b *testing.B) {
 	world, err := exp.BuildWorld(exp.WorldOptions{Scale: 0.008, Trips: 200, Seed: 5})
 	if err != nil {
 		b.Fatal(err)
-	}
-	factory := func() sp.Oracle {
-		return cache.New(sp.NewBidirectional(world.Graph), world.Graph.N(), 1<<20, 1<<12)
 	}
 	const fleet = 1200
 	// The obs=on variants run the identical workload with lifecycle
@@ -368,22 +77,11 @@ func BenchmarkDispatchThroughput(b *testing.B) {
 			var m *sim.Metrics
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				cfg := sim.Config{
-					Graph:     world.Graph,
-					Servers:   fleet,
-					Capacity:  4,
-					Algorithm: sim.AlgoTreeSlack,
-					Seed:      9,
-					Workers:   workers,
-				}
+				var hooks pipeline.Hooks
 				if bc.obsOn {
-					cfg.Trace = obs.NewTracer(0)
-					cfg.Live = &obs.Live{}
+					hooks = pipeline.Hooks{Tracer: obs.NewTracer(0), Live: &obs.Live{}}
 				}
-				e, err := dispatch.New(cfg, factory)
-				if err != nil {
-					b.Fatal(err)
-				}
+				e := build(b, world.Graph, benchSpec(fleet, workers), hooks).Engine
 				b.StartTimer()
 				for j := range world.Requests {
 					e.Submit(world.Requests[j])
@@ -393,9 +91,8 @@ func BenchmarkDispatchThroughput(b *testing.B) {
 				if m.Matched == 0 {
 					b.Fatal("nothing matched")
 				}
-				// Aggregate distance-cache hit rate across the shards, so a
-				// single-core smoke run still shows whether the per-shard
-				// caches are re-learning each other's distances.
+				// The shared distance cache's hit rate, so a single-core
+				// smoke run still shows the cache doing its job.
 				b.ReportMetric(m.DistCacheHitRate()*100, "dist-hit-%")
 				e.Close()
 				b.StartTimer()
@@ -437,26 +134,12 @@ func BenchmarkTracedOverheadGuard(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	factory := func() sp.Oracle {
-		return cache.New(sp.NewBidirectional(world.Graph), world.Graph.N(), 1<<20, 1<<12)
-	}
 	run := func(traced bool) time.Duration {
-		cfg := sim.Config{
-			Graph:     world.Graph,
-			Servers:   600,
-			Capacity:  4,
-			Algorithm: sim.AlgoTreeSlack,
-			Seed:      9,
-			Workers:   1,
-		}
+		var hooks pipeline.Hooks
 		if traced {
-			cfg.Trace = obs.NewTracer(0)
-			cfg.Live = &obs.Live{}
+			hooks = pipeline.Hooks{Tracer: obs.NewTracer(0), Live: &obs.Live{}}
 		}
-		e, err := dispatch.New(cfg, factory)
-		if err != nil {
-			b.Fatal(err)
-		}
+		e := build(b, world.Graph, benchSpec(600, 1), hooks).Engine
 		start := time.Now()
 		for j := range world.Requests {
 			e.Submit(world.Requests[j])
@@ -492,69 +175,6 @@ func BenchmarkTracedOverheadGuard(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatchCacheHitRate: the shared-vs-per-shard distance cache
-// comparison on a multi-shard workload. Both configurations run the same
-// fleet and request stream at 4 workers / 4 shards; "per-shard" gives each
-// shard a cold private LRU (the pre-shared-stack layout), "shared" runs all
-// shards against one striped cache.Shared. The dist-hit-% metric is the
-// aggregate distance-cache hit rate — shared must be at least as high,
-// since every shard's misses feed every other shard — and req/s plus
-// gomaxprocs are emitted so throughput effects on single-core hosts are
-// not misread.
-func BenchmarkDispatchCacheHitRate(b *testing.B) {
-	world, err := exp.BuildWorld(exp.WorldOptions{Scale: 0.008, Trips: 200, Seed: 5})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const workers = 4
-	for _, mode := range []string{"per-shard", "shared"} {
-		b.Run("cache="+mode, func(b *testing.B) {
-			var hitRate float64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cfg := sim.Config{
-					Graph:     world.Graph,
-					Servers:   1200,
-					Capacity:  4,
-					Algorithm: sim.AlgoTreeSlack,
-					Seed:      9,
-					Workers:   workers,
-				}
-				var e *dispatch.Engine
-				var err error
-				if mode == "shared" {
-					cfg.Oracle = cache.NewShared(func() sp.Oracle {
-						return sp.NewBidirectional(world.Graph)
-					}, world.Graph.N(), 1<<20, 1<<12, 0)
-					e, err = dispatch.New(cfg, nil)
-				} else {
-					e, err = dispatch.New(cfg, func() sp.Oracle {
-						return cache.New(sp.NewBidirectional(world.Graph), world.Graph.N(), 1<<20, 1<<12)
-					})
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				for j := range world.Requests {
-					e.Submit(world.Requests[j])
-				}
-				b.StopTimer()
-				m := e.Metrics()
-				if m.Matched == 0 {
-					b.Fatal("nothing matched")
-				}
-				hitRate = m.DistCacheHitRate()
-				e.Close()
-				b.StartTimer()
-			}
-			b.ReportMetric(hitRate*100, "dist-hit-%")
-			b.ReportMetric(float64(len(world.Requests))*float64(b.N)/b.Elapsed().Seconds(), "req/s")
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-		})
-	}
-}
-
 // BenchmarkDispatchBatchThroughput: the same fleet matched in 30-second
 // batch windows, the batching route to throughput of Simonetto et al.
 func BenchmarkDispatchBatchThroughput(b *testing.B) {
@@ -562,26 +182,13 @@ func BenchmarkDispatchBatchThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	factory := func() sp.Oracle {
-		return cache.New(sp.NewBidirectional(world.Graph), world.Graph.N(), 1<<20, 1<<12)
-	}
 	for _, workers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				cfg := sim.Config{
-					Graph:       world.Graph,
-					Servers:     1200,
-					Capacity:    4,
-					Algorithm:   sim.AlgoTreeSlack,
-					Seed:        9,
-					Workers:     workers,
-					BatchWindow: 30,
-				}
-				e, err := dispatch.New(cfg, factory)
-				if err != nil {
-					b.Fatal(err)
-				}
+				spec := benchSpec(1200, workers)
+				spec.Batch = 30
+				e := build(b, world.Graph, spec, pipeline.Hooks{}).Engine
 				b.StartTimer()
 				for j := range world.Requests {
 					e.Enqueue(world.Requests[j])
@@ -611,27 +218,14 @@ func BenchmarkBatchConflictRepair(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	factory := func() sp.Oracle {
-		return cache.New(sp.NewBidirectional(world.Graph), world.Graph.N(), 1<<20, 1<<12)
-	}
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var m *sim.Metrics
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				cfg := sim.Config{
-					Graph:       world.Graph,
-					Servers:     60, // scarce: every window contends for the same vehicles
-					Capacity:    4,
-					Algorithm:   sim.AlgoTreeSlack,
-					Seed:        9,
-					Workers:     workers,
-					BatchWindow: 300,
-				}
-				e, err := dispatch.New(cfg, factory)
-				if err != nil {
-					b.Fatal(err)
-				}
+				spec := benchSpec(60, workers) // scarce: every window contends for the same vehicles
+				spec.Batch = 300
+				e := build(b, world.Graph, spec, pipeline.Hooks{}).Engine
 				b.StartTimer()
 				for j := range world.Requests {
 					e.Enqueue(world.Requests[j])
@@ -650,17 +244,5 @@ func BenchmarkBatchConflictRepair(b *testing.B) {
 			b.ReportMetric(float64(m.RetrialTrialsSaved)/float64(m.ConflictsRepaired), "saved/conflict")
 			b.ReportMetric(float64(len(world.Requests))*float64(b.N)/b.Elapsed().Seconds(), "req/s")
 		})
-	}
-}
-
-// BenchmarkOccupancy: unlimited-capacity run reporting the occupancy stats
-// of §VI-B alongside the timing.
-func BenchmarkOccupancy(b *testing.B) {
-	w := getWorld(b, 2)
-	for i := 0; i < b.N; i++ {
-		max, mean, top := runWorld(b, w, sim.AlgoTreeHotspot, 8, 0).OccupancyStats()
-		b.ReportMetric(float64(max), "peak-max")
-		b.ReportMetric(mean, "peak-mean")
-		b.ReportMetric(top, "peak-top20")
 	}
 }

@@ -7,12 +7,10 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/cache"
-	"repro/internal/dispatch"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/roadnet"
 	"repro/internal/sim"
-	"repro/internal/sp"
 	"repro/internal/workload"
 )
 
@@ -59,9 +57,6 @@ func BenchmarkCityScale(b *testing.B) {
 		if err := gen.Err(); err != nil {
 			b.Fatal(err)
 		}
-		factory := func() sp.Oracle {
-			return cache.New(sp.NewBidirectional(g), g.N(), 1<<20, 1<<12)
-		}
 		seen := map[int]bool{}
 		for _, procs := range procRows {
 			if seen[procs] {
@@ -76,20 +71,11 @@ func BenchmarkCityScale(b *testing.B) {
 				var ms0, ms1 runtime.MemStats
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					cfg := sim.Config{
-						Graph:       g,
-						Servers:     tier.fleet,
-						Capacity:    4,
-						WaitSeconds: 120,
-						Algorithm:   sim.AlgoTreeSlack,
-						Seed:        23,
-						Workers:     procs,
-						AutoTune:    true,
-					}
-					e, err := dispatch.New(cfg, factory)
-					if err != nil {
-						b.Fatal(err)
-					}
+					spec := benchSpec(tier.fleet, procs)
+					spec.WaitMinutes = 2
+					spec.Seed = 23
+					spec.AutoTune = true
+					e := build(b, g, spec, pipeline.Hooks{}).Engine
 					runtime.ReadMemStats(&ms0)
 					b.StartTimer()
 					for j := range reqs {

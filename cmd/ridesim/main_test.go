@@ -83,18 +83,33 @@ func TestGoldenJSON(t *testing.T) {
 	}
 }
 
-// TestBadFlagValueFailsBeforeAnyWork: an unknown enumerated flag value is
-// an error reported before the world is built — nothing reaches stdout.
-func TestBadFlagValueFailsBeforeAnyWork(t *testing.T) {
-	for _, flagName := range []string{"-algo", "-oracle", "-shed-policy", "-fault-plan", "-arrival"} {
+// TestBadFlagsFailBeforeAnyWork: a bad flag value or combination is an
+// error reported before the world is built — nothing reaches stdout, no
+// file is opened (the -graph/-trips paths here do not exist) and no
+// listener is announced. The Spec-borne flags are covered case by case in
+// internal/pipeline; one of them rides along here to pin that ridesim
+// validates the Spec first.
+func TestBadFlagsFailBeforeAnyWork(t *testing.T) {
+	for _, c := range []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-oracle", "no-such-value"}, "no-such-value"},
+		{[]string{"-wait", "0"}, "-wait must be positive"},
+		{[]string{"-eps", "0"}, "-eps must be positive"},
+		{[]string{"-arrival", "no-such-value"}, "no-such-value"},
+		{[]string{"-trips", "missing.csv"}, "-trips requires -graph"},
+		{[]string{"-arrival", "poisson", "-graph", "missing.bin", "-trips", "missing.csv"}, "would discard -trips"},
+	} {
 		// -obs-addr would open a listener and announce it on stdout if the
-		// value were only checked after setup.
-		out, err := ridesim(t, "-scale", "0.002", "-servers", "40", "-obs-addr", "127.0.0.1:0", flagName, "no-such-value")
-		if err == nil || !strings.Contains(err.Error(), "no-such-value") {
-			t.Errorf("%s no-such-value: err = %v, want an error naming the value", flagName, err)
+		// flags were only checked after setup.
+		args := append([]string{"-scale", "0.002", "-servers", "40", "-obs-addr", "127.0.0.1:0"}, c.args...)
+		out, err := ridesim(t, args...)
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%v: err = %v, want an error containing %q", c.args, err, c.wantErr)
 		}
 		if out != "" {
-			t.Errorf("%s no-such-value: wrote to stdout before failing:\n%s", flagName, out)
+			t.Errorf("%v: wrote to stdout before failing:\n%s", c.args, out)
 		}
 	}
 }

@@ -20,12 +20,9 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/cache"
-	"repro/internal/dispatch"
 	"repro/internal/ingest"
+	"repro/internal/pipeline"
 	"repro/internal/roadnet"
-	"repro/internal/sim"
-	"repro/internal/sp"
 	"repro/internal/workload"
 )
 
@@ -38,19 +35,18 @@ func main() {
 	}
 	fmt.Printf("city: %d vertices, %d edges; streaming poisson arrivals, 8 producers\n\n", g.N(), g.M())
 
-	const wait = 600 // 10-minute waiting-time windows
 	for _, policy := range []ingest.Policy{ingest.Block, ingest.ShedOldest, ingest.ShedDeadline} {
-		cfg := sim.Config{
-			Graph:       g,
-			Oracle:      cache.NewShared(func() sp.Oracle { return sp.NewBidirectional(g) }, g.N(), 1<<20, 1<<12, 0),
-			Servers:     60,
-			Capacity:    4,
-			WaitSeconds: wait,
-			Algorithm:   sim.AlgoTreeSlack,
-			Seed:        42,
-			Workers:     4,
-		}
-		eng, err := dispatch.New(cfg, nil)
+		// The default 10-minute waiting-time window is also the gateway's
+		// deadline-shed window.
+		spec := pipeline.Default()
+		spec.Servers = 60
+		spec.Seed = 42
+		spec.Workers = 4
+		spec.DistCache, spec.PathCache = 1<<20, 1<<12
+		spec.Producers = 8
+		spec.QueueDepth = 16 // tiny on purpose: let the policies differ
+		spec.ShedPolicy = policy.String()
+		p, err := pipeline.Build(g, spec, pipeline.Hooks{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -61,14 +57,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		gw := ingest.New(ingest.Config{
-			Queues:      eng.Shards(),
-			Depth:       16, // tiny on purpose: let the policies differ
-			Policy:      policy,
-			WaitSeconds: wait,
-		})
 		start := time.Now()
-		m, _, err := ingest.Run(gw, eng, gen, 8, nil)
+		m, _, err := p.Run(gen)
 		wall := time.Since(start)
 		if err != nil {
 			log.Fatalf("%s: %v", policy, err)
@@ -76,13 +66,10 @@ func main() {
 		if err := gen.Err(); err != nil {
 			log.Fatalf("%s: %v", policy, err)
 		}
-		if err := eng.CheckInvariants(); err != nil {
-			log.Fatalf("%s: %v", policy, err)
-		}
 		fmt.Printf("%-12s admitted %4d  shed %4d (overflow %4d, deadline %4d)  matched %4d  queue peak %2d  p99 ingress wait %v  (wall %v)\n",
 			policy, m.Admitted, m.Shed(), m.ShedOverflow, m.ShedDeadline,
 			m.Matched, m.IngressQueuePeak, m.IngressWaitP99().Round(time.Microsecond), wall.Round(time.Millisecond))
-		eng.Close()
+		p.Close()
 	}
 	fmt.Println("\nblock is lossless (and bit-identical to a single producer); the shedding")
 	fmt.Println("policies trade riders for bounded queues and bounded staleness.")

@@ -23,7 +23,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// Bidirectional Dijkstra behind the paper's dual LRU caches.
-	oracle := cache.New(sp.NewBidirectional(g), g.N(), 1<<16, 1<<10)
+	oracle := cache.NewShared(func() sp.Oracle { return sp.NewBidirectional(g) }, g.N(), 1<<16, 1<<10, 0)
 
 	// One server at vertex 0 with capacity 4, slack-time filtering on.
 	tree := core.NewTree(oracle, 0, 0, core.TreeOptions{Slack: true, Capacity: 4})

@@ -22,20 +22,17 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/cache"
-	"repro/internal/dispatch"
 	"repro/internal/ingest"
+	"repro/internal/pipeline"
 	"repro/internal/roadnet"
 	"repro/internal/sim"
-	"repro/internal/sp"
 	"repro/internal/workload"
 )
 
 const (
 	trips      = 2000
 	producers  = 4
-	queues     = 4
-	queueDepth = 512 // queues x depth >= trips: the whole surge fits
+	queueDepth = trips // one queue (one shard) holding the whole surge
 )
 
 func main() {
@@ -61,36 +58,29 @@ func main() {
 		g.N(), g.M(), len(day))
 
 	for _, algo := range []sim.Algorithm{sim.AlgoTreeSlack, sim.AlgoBranchBound} {
-		eng, err := dispatch.New(sim.Config{
-			Graph:     g,
-			Oracle:    cache.New(sp.NewBidirectional(g), g.N(), 1<<20, 1<<12),
-			Servers:   100,
-			Capacity:  4,
-			Algorithm: algo,
-			Seed:      42,
-		}, nil)
+		spec := pipeline.Default()
+		spec.Algo = algo.String()
+		spec.Servers = 100
+		spec.Seed = 42
+		spec.DistCache, spec.PathCache = 1<<20, 1<<12
+		spec.Producers = producers
+		spec.QueueDepth = queueDepth
+		spec.ShedPolicy = ingest.ShedOldest.String()
+		p, err := pipeline.Build(g, spec, pipeline.Hooks{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		gw := ingest.New(ingest.Config{
-			Queues: queues,
-			Depth:  queueDepth,
-			Policy: ingest.ShedOldest,
-		})
 		src := ingest.SliceSource(day)
 		start := time.Now()
-		m, _, err := ingest.Run(gw, eng, &src, producers, nil)
+		m, _, err := p.Run(&src)
 		wall := time.Since(start)
 		if err != nil {
 			log.Fatalf("%s: %v", algo, err)
 		}
-		if err := eng.CheckInvariants(); err != nil {
-			log.Fatalf("%s: %v", algo, err)
-		}
-		eng.Close()
+		p.Close()
 		if m.Shed() != 0 {
 			log.Fatalf("%s: gateway shed %d requests at configured capacity %d x %d",
-				algo, m.Shed(), queues, queueDepth)
+				algo, m.Shed(), p.Gateway.Queues(), queueDepth)
 		}
 		max, mean, _ := m.OccupancyStats()
 		fmt.Printf("%-12s  ACRT %-10v  matched %d/%d  detour x%.2f  peak occupancy max/mean %d/%.2f  (wall %v)\n",

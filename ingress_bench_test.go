@@ -6,13 +6,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cache"
-	"repro/internal/dispatch"
 	"repro/internal/exp"
 	"repro/internal/ingest"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
-	"repro/internal/sp"
 )
 
 // BenchmarkIngressThroughput: the concurrent front door end to end — N
@@ -35,25 +33,14 @@ func BenchmarkIngressThroughput(b *testing.B) {
 			var m *sim.Metrics
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				cfg := sim.Config{
-					Graph:     world.Graph,
-					Servers:   fleet,
-					Capacity:  4,
-					Algorithm: sim.AlgoTreeSlack,
-					Seed:      9,
-					Workers:   4,
-					Oracle: cache.NewShared(func() sp.Oracle {
-						return sp.NewBidirectional(world.Graph)
-					}, world.Graph.N(), 1<<20, 1<<12, 0),
-				}
-				e, err := dispatch.New(cfg, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				gw := ingest.New(ingest.Config{Queues: e.Shards(), Depth: 64, Policy: ingest.Block})
+				spec := benchSpec(fleet, 4)
+				spec.Producers = producers
+				spec.QueueDepth = 64
+				p := build(b, world.Graph, spec, pipeline.Hooks{})
 				src := ingest.SliceSource(world.Requests)
+				var err error
 				b.StartTimer()
-				m, _, err = ingest.Run(gw, e, &src, producers, nil)
+				m, _, err = p.Run(&src)
 				b.StopTimer()
 				if err != nil {
 					b.Fatal(err)
@@ -65,7 +52,7 @@ func BenchmarkIngressThroughput(b *testing.B) {
 					b.Fatal("nothing matched")
 				}
 				p99 = m.IngressWaitP99()
-				e.Close()
+				p.Close()
 				b.StartTimer()
 			}
 			reqPerSec := float64(len(world.Requests)) * float64(b.N) / b.Elapsed().Seconds()
@@ -91,35 +78,20 @@ func BenchmarkIngressThroughput(b *testing.B) {
 	// the stream), so the gateway clock is final and the handoff-lag
 	// assertion is exact.
 	b.Run("deadline-shed", func(b *testing.B) {
-		const wait = 600
+		const wait = 600 // seconds: the default 10-minute window
 		var admitted, shed int
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			cfg := sim.Config{
-				Graph:       world.Graph,
-				Servers:     fleet,
-				Capacity:    4,
-				WaitSeconds: wait,
-				Algorithm:   sim.AlgoTreeSlack,
-				Seed:        9,
-				Workers:     4,
-				Oracle: cache.NewShared(func() sp.Oracle {
-					return sp.NewBidirectional(world.Graph)
-				}, world.Graph.N(), 1<<20, 1<<12, 0),
-			}
-			e, err := dispatch.New(cfg, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			gw := ingest.New(ingest.Config{
-				Queues:      e.Shards(),
-				Depth:       len(world.Requests),
-				Policy:      ingest.ShedDeadline,
-				WaitSeconds: wait,
-			})
+			spec := benchSpec(fleet, 4)
+			spec.WaitMinutes = wait / 60
+			spec.Producers = 4
+			spec.QueueDepth = len(world.Requests)
+			spec.ShedPolicy = ingest.ShedDeadline.String()
+			p := build(b, world.Graph, spec, pipeline.Hooks{})
+			e, gw := p.Engine, p.Gateway
 			src := ingest.SliceSource(world.Requests)
 			b.StartTimer()
-			if err := ingest.Drive(gw, &src, 4); err != nil {
+			if err := ingest.Drive(gw, &src, spec.Producers); err != nil {
 				b.Fatalf("drive: %v", err)
 			}
 			gw.Drain(func(r sim.Request) {

@@ -25,41 +25,6 @@ func distinctPairs(t *testing.T, g *roadnet.Graph, want int) [][2]roadnet.Vertex
 	return pairs
 }
 
-// TestOracleDistLatencySampling: the caching oracle times exactly 1 in
-// distSampleEvery Dist lookups, attributing each sample to the cache
-// outcome of that specific call.
-func TestOracleDistLatencySampling(t *testing.T) {
-	g := testGraph(t)
-	o := New(sp.NewBidirectional(g), g.N(), 1<<20, 1<<10)
-	pairs := distinctPairs(t, g, 4*distSampleEvery)
-
-	for _, p := range pairs {
-		o.Dist(p[0], p[1]) // first touch: all misses
-	}
-	hit, miss := o.DistLatency()
-	if hit.Count() != 0 || miss.Count() != 4 {
-		t.Fatalf("after miss pass: hit=%d miss=%d samples, want 0/4", hit.Count(), miss.Count())
-	}
-	for _, p := range pairs {
-		o.Dist(p[0], p[1]) // repeat: all hits
-	}
-	if hit.Count() != 4 || miss.Count() != 4 {
-		t.Fatalf("after hit pass: hit=%d miss=%d samples, want 4/4", hit.Count(), miss.Count())
-	}
-	if hit.Min() < 0 || miss.Min() < 0 {
-		t.Fatal("negative sampled latency")
-	}
-	// u == v short-circuits before the sampler and must not advance its
-	// cadence.
-	before := hit.Count() + miss.Count()
-	for i := 0; i < 10*distSampleEvery; i++ {
-		o.Dist(3, 3)
-	}
-	if got := hit.Count() + miss.Count(); got != before {
-		t.Fatalf("u==v lookups advanced the sampler: %d -> %d samples", before, got)
-	}
-}
-
 // TestSharedDistLatencySampling: every worker facade samples on its own
 // deterministic cadence, Shared.DistLatency merges all of them, and a
 // distance published by one facade is a sampled *hit* for the next — while

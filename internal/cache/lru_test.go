@@ -160,13 +160,42 @@ func (c *countingOracle) Path(u, v roadnet.VertexID) []roadnet.VertexID {
 	return c.inner.Path(u, v)
 }
 
+// countingEngines is a NewShared engine factory whose engines are fresh
+// countingOracles; paths and dists total the queries that reached any of
+// them. Single-goroutine tests only.
+type countingEngines struct {
+	newInner func() sp.Oracle
+	engines  []*countingOracle
+}
+
+func (c *countingEngines) new() sp.Oracle {
+	e := &countingOracle{inner: c.newInner()}
+	c.engines = append(c.engines, e)
+	return e
+}
+
+func (c *countingEngines) dists() (n int) {
+	for _, e := range c.engines {
+		n += e.dists
+	}
+	return n
+}
+
+func (c *countingEngines) paths() (n int) {
+	for _, e := range c.engines {
+		n += e.paths
+	}
+	return n
+}
+
 func TestCachedOracleCorrectAndCaching(t *testing.T) {
 	g, err := roadnet.Grid(roadnet.GridOptions{Rows: 8, Cols: 8, Spacing: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := &countingOracle{inner: sp.NewDijkstra(g)}
-	o := New(inner, g.N(), 1000, 100)
+	inner := &countingEngines{newInner: func() sp.Oracle { return sp.NewDijkstra(g) }}
+	s := NewShared(inner.new, g.N(), 1000, 100, 0)
+	o := s.NewWorker()
 	ref := sp.NewDijkstra(g)
 
 	rng := rand.New(rand.NewSource(2))
@@ -177,22 +206,12 @@ func TestCachedOracleCorrectAndCaching(t *testing.T) {
 			t.Fatalf("cached Dist(%d,%d)=%v want %v", u, v, got, want)
 		}
 	}
-	if inner.dists >= 2000 {
-		t.Fatalf("cache ineffective: %d inner calls for 2000 queries", inner.dists)
+	if inner.dists() >= 2000 {
+		t.Fatalf("cache ineffective: %d inner calls for 2000 queries", inner.dists())
 	}
-	hits, misses := o.DistStats()
+	hits, misses := s.DistStats()
 	if hits == 0 || hits+misses == 0 {
 		t.Fatalf("no cache hits recorded (h=%d m=%d)", hits, misses)
-	}
-
-	// Symmetric priming: a (u,v) query should make (v,u) a hit.
-	o2 := New(&countingOracle{inner: sp.NewDijkstra(g)}, g.N(), 1000, 100)
-	o2.Dist(3, 5)
-	h0, _ := o2.dists.Stats()
-	o2.Dist(5, 3)
-	h1, _ := o2.dists.Stats()
-	if h1 != h0+1 {
-		t.Fatal("reverse direction was not primed")
 	}
 }
 
@@ -201,12 +220,12 @@ func TestCachedOraclePaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := &countingOracle{inner: sp.NewDijkstra(g)}
-	o := New(inner, g.N(), 100, 10)
+	inner := &countingEngines{newInner: func() sp.Oracle { return sp.NewDijkstra(g) }}
+	o := NewShared(inner.new, g.N(), 100, 10, 0).NewWorker()
 	p1 := o.Path(0, 20)
 	p2 := o.Path(0, 20)
-	if inner.paths != 1 {
-		t.Fatalf("path cache miss count %d, want 1", inner.paths)
+	if inner.paths() != 1 {
+		t.Fatalf("path cache miss count %d, want 1", inner.paths())
 	}
 	if len(p1) != len(p2) {
 		t.Fatal("cached path differs")

@@ -8,6 +8,15 @@ import (
 	"repro/internal/sp"
 )
 
+// Default capacities from the paper (§VI): "one storing up to ten million
+// shortest distances and the other storing up to ten thousand shortest paths
+// (separate caches are used because more distances can be stored in memory,
+// and shortest distance is needed more often than shortest path)".
+const (
+	DefaultDistEntries = 10_000_000
+	DefaultPathEntries = 10_000
+)
+
 // Shared is the fleet-wide oracle stack: one concurrency-safe striped
 // distance cache consulted by every worker in the system, combined with
 // per-worker path caches and per-worker inner engines behind the usual
@@ -125,8 +134,23 @@ func (s *Shared) Path(u, v roadnet.VertexID) []roadnet.VertexID {
 	p := engine.Path(u, v)
 	s.pool.Put(engine)
 	s.paths.Put(k, p)
+	// The graph is undirected, so the reverse of a shortest path is a
+	// shortest path (and an unreachable pair is unreachable both ways):
+	// prime the opposite direction as sharedDist does.
 	s.paths.Put(s.key(v, u), reversePath(p))
 	return p
+}
+
+// reversePath returns a reversed copy of p; nil (unreachable) stays nil.
+func reversePath(p []roadnet.VertexID) []roadnet.VertexID {
+	if p == nil {
+		return nil
+	}
+	r := make([]roadnet.VertexID, len(p))
+	for i, v := range p {
+		r[len(p)-1-i] = v
+	}
+	return r
 }
 
 // ConcurrencySafe marks Shared as an sp.SharedOracle.
@@ -211,8 +235,8 @@ func (w *SharedWorker) Dist(u, v roadnet.VertexID) float64 {
 }
 
 // Path returns a shortest path from u to v via this worker's private path
-// cache, priming the reverse direction as cache.Oracle.Path does. The
-// returned slice is shared with the cache and must not be modified.
+// cache, priming the reverse direction as sharedDist does. The returned
+// slice is shared with the cache and must not be modified.
 func (w *SharedWorker) Path(u, v roadnet.VertexID) []roadnet.VertexID {
 	if u == v {
 		return []roadnet.VertexID{u}

@@ -87,11 +87,10 @@ type Engine struct {
 	batchStart float64
 	flushSeq   int64 // flushes performed; the flush span's instance key
 
-	// Distinct oracle stacks behind the shards, deduplicated once at
+	// Distinct cache stacks behind the shard oracles, deduplicated once at
 	// construction (the shard oracles never change), so Metrics() does not
 	// rebuild the dedup set on every call.
-	cacheStatsers []sim.CacheStatser
-	latStatsers   []sim.CacheLatencyStatser
+	caches []*cache.Shared
 
 	// Reusable scratch. The exported API is driven from one goroutine and
 	// the pool is quiescent between fan-outs, so per-call buffers can live
@@ -262,7 +261,7 @@ func New(cfg sim.Config, oracles OracleFactory) (*Engine, error) {
 	e.flush.dirtyIDs = make([][]int, nshards)
 	e.flush.fresh = make([]shardBest, nshards)
 	e.flush.needy = make([]*shard, 0, nshards)
-	e.dedupStatsers()
+	e.dedupCaches()
 	if workers > 1 {
 		e.tasks = make(chan func(), nshards)
 		for i := 0; i < workers; i++ {
@@ -642,52 +641,37 @@ func (e *Engine) Metrics() *sim.Metrics {
 	return out
 }
 
-// dedupStatsers resolves the distinct cache stacks behind the shard
-// oracles once, at construction: a cache.SharedWorker facade resolves to
-// its fleet-wide stack (which aggregates every facade), and stacks shared
-// by several shards (one cache.Shared, or one oracle instance reused
-// across shards) are recorded once, in shard order. The shard oracles
-// never change, so Metrics()/distLatency()/cacheStats() can walk these
-// lists instead of rebuilding the dedup set per call.
-func (e *Engine) dedupStatsers() {
-	seenLat := make(map[sim.CacheLatencyStatser]bool, len(e.shards))
-	seenCS := make(map[sim.CacheStatser]bool, len(e.shards))
+// dedupCaches resolves the distinct cache stacks behind the shard oracles
+// once, at construction: a cache.SharedWorker facade resolves to its
+// fleet-wide stack (which aggregates every facade), and a stack shared by
+// several shards is recorded once, in shard order.
+func (e *Engine) dedupCaches() {
+	seen := make(map[*cache.Shared]bool, len(e.shards))
 	for _, s := range e.shards {
 		// Peel decorator facades (sp.Retry, faults.FlakyOracle) so a
 		// shard oracle wrapped for fault tolerance still reports its
 		// cache stack's stats.
-		o := sp.Unwrap(s.w.Oracle())
-		var cls sim.CacheLatencyStatser
-		if w, ok := o.(*cache.SharedWorker); ok {
-			cls = w.Shared()
-		} else if c, ok := o.(sim.CacheLatencyStatser); ok {
-			cls = c
+		var stack *cache.Shared
+		switch o := sp.Unwrap(s.w.Oracle()).(type) {
+		case *cache.SharedWorker:
+			stack = o.Shared()
+		case *cache.Shared:
+			stack = o
 		}
-		if cls != nil && !seenLat[cls] {
-			seenLat[cls] = true
-			e.latStatsers = append(e.latStatsers, cls)
-		}
-		var cs sim.CacheStatser
-		if w, ok := o.(*cache.SharedWorker); ok {
-			cs = w.Shared() // aggregates the striped cache and all facades
-		} else if c, ok := o.(sim.CacheStatser); ok {
-			cs = c
-		}
-		if cs != nil && !seenCS[cs] {
-			seenCS[cs] = true
-			e.cacheStatsers = append(e.cacheStatsers, cs)
+		if stack != nil && !seen[stack] {
+			seen[stack] = true
+			e.caches = append(e.caches, stack)
 		}
 	}
 }
 
 // distLatency merges the sampled distance-lookup latency over the distinct
-// cache stacks behind the shard oracles (deduplicated at construction by
-// dedupStatsers). Must be called from the driving goroutine between
-// fan-outs, when the shards are quiescent.
+// cache stacks behind the shard oracles. Must be called from the driving
+// goroutine between fan-outs, when the shards are quiescent.
 func (e *Engine) distLatency() (hit, miss *obs.Histogram) {
 	hit, miss = obs.NewHistogram(), obs.NewHistogram()
-	for _, cls := range e.latStatsers {
-		h, m := cls.DistLatency()
+	for _, c := range e.caches {
+		h, m := c.DistLatency()
 		hit.Merge(h)
 		miss.Merge(m)
 	}
@@ -695,12 +679,11 @@ func (e *Engine) distLatency() (hit, miss *obs.Histogram) {
 }
 
 // cacheStats sums hit/miss counters over the distinct cache stacks behind
-// the shard oracles (deduplicated at construction by dedupStatsers).
-// Quiescent-only, like distLatency.
+// the shard oracles. Quiescent-only, like distLatency.
 func (e *Engine) cacheStats() (distHits, distMisses, pathHits, pathMisses uint64) {
-	for _, cs := range e.cacheStatsers {
-		dh, dm := cs.DistStats()
-		ph, pm := cs.PathStats()
+	for _, c := range e.caches {
+		dh, dm := c.DistStats()
+		ph, pm := c.PathStats()
 		distHits += dh
 		distMisses += dm
 		pathHits += ph

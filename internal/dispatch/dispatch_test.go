@@ -24,7 +24,7 @@ func testWorld(t testing.TB, trips int) (*roadnet.Graph, OracleFactory, []sim.Re
 		t.Fatalf("grid: %v", err)
 	}
 	factory := func() sp.Oracle {
-		return cache.New(sp.NewBidirectional(g), g.N(), 1<<20, 1<<14)
+		return cache.NewShared(func() sp.Oracle { return sp.NewBidirectional(g) }, g.N(), 1<<20, 1<<14, 0).NewWorker()
 	}
 	reqs := make([]sim.Request, 0, trips)
 	nv := int32(g.N())
@@ -504,14 +504,13 @@ func TestBatchTracedEquivalence(t *testing.T) {
 	}
 
 	// Live counters match the final metrics.
-	snap := live.Snapshot()
-	if snap.Requests != int64(m.Requests) || snap.Matched != int64(m.Matched) ||
-		snap.Rejected != int64(m.Rejected) || snap.Conflicts != int64(m.ConflictsRepaired) {
+	if live.Requests.Load() != int64(m.Requests) || live.Matched.Load() != int64(m.Matched) ||
+		live.Rejected.Load() != int64(m.Rejected) || live.Conflicts.Load() != int64(m.ConflictsRepaired) {
 		t.Fatalf("live %+v diverges from metrics req=%d matched=%d rejected=%d conflicts=%d",
-			snap, m.Requests, m.Matched, m.Rejected, m.ConflictsRepaired)
+			live.Snapshot(), m.Requests, m.Matched, m.Rejected, m.ConflictsRepaired)
 	}
-	if uint64(snap.Flushes) != m.FlushLatency.Count() {
-		t.Fatalf("live flushes %d != flush samples %d", snap.Flushes, m.FlushLatency.Count())
+	if uint64(live.Flushes.Load()) != m.FlushLatency.Count() {
+		t.Fatalf("live flushes %d != flush samples %d", live.Flushes.Load(), m.FlushLatency.Count())
 	}
 
 	// The trace resolved every request exactly once.

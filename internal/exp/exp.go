@@ -14,11 +14,10 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cache"
-	"repro/internal/dispatch"
+	"repro/internal/ingest"
+	"repro/internal/pipeline"
 	"repro/internal/roadnet"
 	"repro/internal/sim"
-	"repro/internal/sp"
 	"repro/internal/trace"
 )
 
@@ -77,17 +76,19 @@ func BuildWorld(opt WorldOptions) (*World, error) {
 	return &World{Graph: g, Requests: reqs, Scale: opt.Scale, seed: opt.Seed}, nil
 }
 
-// NewOracle returns a fresh cached oracle for this world. Each simulation
-// run gets its own so wall-clock measurements are not skewed by cache state
+// Spec returns the pipeline spec every experiment run starts from: the
+// paper's stack (bidirectional Dijkstra behind the two LRU caches), built
+// fresh per run so wall-clock measurements are not skewed by cache state
 // left behind by a previous run.
-func (w *World) NewOracle() sp.Oracle {
+func (w *World) Spec() pipeline.Spec {
+	s := pipeline.Default()
 	// Cache sizes follow the paper (10M distances / 10K paths) but are
 	// scaled down with the world to keep small runs lightweight.
-	distEntries := int(float64(cache.DefaultDistEntries) * w.Scale)
-	if distEntries < 1<<18 {
-		distEntries = 1 << 18
+	s.DistCache = int(float64(s.DistCache) * w.Scale)
+	if s.DistCache < 1<<18 {
+		s.DistCache = 1 << 18
 	}
-	return cache.New(sp.NewBidirectional(w.Graph), w.Graph.N(), distEntries, cache.DefaultPathEntries)
+	return s
 }
 
 // ScaleCount scales a paper-sized fleet or trip count to this world,
@@ -167,22 +168,18 @@ func (h *Harness) Run(p RunParams) (*sim.Metrics, error) {
 	if h.MaxRequests > 0 && len(reqs) > h.MaxRequests {
 		reqs = reqs[:h.MaxRequests]
 	}
-	cfg := sim.Config{
-		Graph:       h.World.Graph,
-		Oracle:      h.World.NewOracle(),
-		Servers:     p.Servers,
-		Capacity:    p.Capacity,
-		WaitSeconds: float64(p.Constraint.WaitMinutes) * 60,
-		Epsilon:     float64(p.Constraint.EpsPercent) / 100,
-		Algorithm:   p.Algo,
-		Seed:        h.World.seed + 1000,
-		// Bound MIP effort per trial so loose-constraint sweeps finish;
-		// the warm-started incumbent keeps answers valid (Exact=false).
-		MIPMaxNodes:   5000,
-		MIPTimeBudget: 20 * time.Millisecond,
-	}
+	spec := h.World.Spec()
+	spec.Algo = p.Algo.String()
+	spec.Servers = p.Servers
+	spec.Capacity = p.Capacity
+	spec.WaitMinutes = float64(p.Constraint.WaitMinutes)
+	spec.EpsPercent = float64(p.Constraint.EpsPercent)
+	spec.Seed = h.World.seed + 1000
+	// Bound MIP effort per trial so loose-constraint sweeps finish; the
+	// warm-started incumbent keeps answers valid (Exact=false).
+	limits := pipeline.Limits{MIPMaxNodes: 5000, MIPTimeBudget: 20 * time.Millisecond}
 	start := time.Now()
-	m, err := Simulate(cfg, reqs)
+	m, err := Simulate(h.World.Graph, spec, limits, reqs)
 	if err != nil {
 		return nil, fmt.Errorf("exp: run %+v: %w", p, err)
 	}
@@ -194,20 +191,21 @@ func (h *Harness) Run(p RunParams) (*sim.Metrics, error) {
 	return m, nil
 }
 
-// Simulate replays reqs through one dispatch engine over cfg — at the
-// default single worker the shards run inline, the paper's sequential
+// Simulate replays reqs through the pipeline spec describes over g — at
+// the default single worker the shards run inline, the paper's sequential
 // evaluation loop — and checks the service invariants.
-func Simulate(cfg sim.Config, reqs []sim.Request) (*sim.Metrics, error) {
-	eng, err := dispatch.New(cfg, nil)
+func Simulate(g *roadnet.Graph, spec pipeline.Spec, limits pipeline.Limits, reqs []sim.Request) (*sim.Metrics, error) {
+	p, err := pipeline.Build(g, spec, pipeline.Hooks{Limits: limits})
 	if err != nil {
 		return nil, err
 	}
-	defer eng.Close()
-	m, err := eng.Run(reqs)
+	defer p.Close()
+	src := ingest.SliceSource(reqs)
+	m, _, err := p.Run(&src)
 	if err != nil {
 		return nil, err
 	}
-	return m, eng.CheckInvariants()
+	return m, nil
 }
 
 // Table is a rendered experiment result.

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/pipeline"
 	"repro/internal/sim"
-	"repro/internal/sp"
 	"repro/internal/trace"
 )
 
@@ -271,18 +271,14 @@ func (h *Harness) Fig9cStress() (*Table, error) {
 		Columns: []string{"algorithm", "ACRT", "over-budget trials", "max tree nodes", "matched"},
 	}
 	for _, a := range TreeAlgos {
-		cfg := sim.Config{
-			Graph:        h.World.Graph,
-			Oracle:       h.World.NewOracle(),
-			Servers:      3,
-			Capacity:     0, // unlimited
-			WaitSeconds:  25 * 60,
-			Epsilon:      0.5,
-			Algorithm:    a,
-			MaxTreeNodes: 30000,
-			Seed:         1000,
-		}
-		m, err := Simulate(cfg, reqs)
+		spec := h.World.Spec()
+		spec.Algo = a.String()
+		spec.Servers = 3
+		spec.Capacity = 0 // unlimited
+		spec.WaitMinutes = 25
+		spec.EpsPercent = 50
+		spec.Seed = 1000
+		m, err := Simulate(h.World.Graph, spec, pipeline.Limits{MaxTreeNodes: 30000}, reqs)
 		if err != nil {
 			return nil, fmt.Errorf("exp: fig9cstress %s: %w", a, err)
 		}
@@ -490,29 +486,24 @@ func (h *Harness) OracleAblation() (*Table, error) {
 		Title:   "ACRT by shortest-path backend (slack tree at tree defaults)",
 		Columns: []string{"oracle", "ACRT", "run wall time"},
 	}
-	backends := []struct {
-		name  string
-		build func() sp.Oracle
-	}{
-		{"dijkstra", func() sp.Oracle { return sp.NewDijkstra(h.World.Graph) }},
-		{"bidirectional", func() sp.Oracle { return sp.NewBidirectional(h.World.Graph) }},
-		{"astar", func() sp.Oracle { return sp.NewAStar(h.World.Graph) }},
-		{"alt", func() sp.Oracle { return sp.NewALT(h.World.Graph, 8) }},
-		{"bidirectional+lru", h.World.NewOracle},
+	backends := []struct{ name, oracle string }{
+		{"dijkstra", "dijkstra"},
+		{"bidirectional", "bidij"},
+		{"astar", "astar"},
+		{"alt", "alt"},
+		{"bidirectional+lru", "bidij+lru"},
 	}
 	for _, be := range backends {
-		cfg := sim.Config{
-			Graph:       h.World.Graph,
-			Oracle:      be.build(),
-			Servers:     base.Servers,
-			Capacity:    base.Capacity,
-			WaitSeconds: float64(base.Constraint.WaitMinutes) * 60,
-			Epsilon:     float64(base.Constraint.EpsPercent) / 100,
-			Algorithm:   base.Algo,
-			Seed:        1000,
-		}
+		spec := h.World.Spec()
+		spec.Oracle = be.oracle
+		spec.Algo = base.Algo.String()
+		spec.Servers = base.Servers
+		spec.Capacity = base.Capacity
+		spec.WaitMinutes = float64(base.Constraint.WaitMinutes)
+		spec.EpsPercent = float64(base.Constraint.EpsPercent)
+		spec.Seed = 1000
 		start := time.Now()
-		m, err := Simulate(cfg, reqs)
+		m, err := Simulate(h.World.Graph, spec, pipeline.Limits{}, reqs)
 		wall := time.Since(start)
 		if err != nil {
 			return nil, fmt.Errorf("exp: oracle ablation %s: %w", be.name, err)

@@ -13,7 +13,7 @@
 //     absorb or degrade from gracefully.
 //
 // Every decision is made by the deterministic counter pattern used for
-// obs latency sampling (cache.Oracle's 1-in-64 dist sampler): a plain
+// obs latency sampling (the cache facades' 1-in-64 dist sampler): a plain
 // per-hook counter plus a splitmix64 phase derived from (plan seed,
 // stream id), compared against a modulus window. No wall clocks, no
 // math/rand — the same plan over the same workload injects the same

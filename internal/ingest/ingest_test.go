@@ -28,7 +28,7 @@ func testWorld(t testing.TB, trips int) (*roadnet.Graph, dispatch.OracleFactory,
 		t.Fatalf("grid: %v", err)
 	}
 	factory := func() sp.Oracle {
-		return cache.New(sp.NewBidirectional(g), g.N(), 1<<20, 1<<14)
+		return cache.NewShared(func() sp.Oracle { return sp.NewBidirectional(g) }, g.N(), 1<<20, 1<<14, 0).NewWorker()
 	}
 	reqs := make([]sim.Request, 0, trips)
 	nv := int32(g.N())
@@ -543,13 +543,14 @@ func TestIngressEquivalenceTraced(t *testing.T) {
 				}
 
 				// Live counters must agree with the ground truth.
-				snap := live.Snapshot()
-				if snap.Admitted != int64(len(reqs)) || snap.Requests != int64(len(reqs)) {
-					t.Fatalf("live admitted=%d requests=%d, want %d", snap.Admitted, snap.Requests, len(reqs))
+				admitted, requests := live.Admitted.Load(), live.Requests.Load()
+				if admitted != int64(len(reqs)) || requests != int64(len(reqs)) {
+					t.Fatalf("live admitted=%d requests=%d, want %d", admitted, requests, len(reqs))
 				}
-				if int(snap.Matched) != kinds["matched"] || int(snap.Rejected) != kinds["rejected"] {
+				matched, rejected := live.Matched.Load(), live.Rejected.Load()
+				if int(matched) != kinds["matched"] || int(rejected) != kinds["rejected"] {
 					t.Fatalf("live matched=%d rejected=%d, trace says %d/%d",
-						snap.Matched, snap.Rejected, kinds["matched"], kinds["rejected"])
+						matched, rejected, kinds["matched"], kinds["rejected"])
 				}
 			})
 		}

@@ -144,47 +144,73 @@ func (l *Live) SetBurnPM(pm int64) {
 	}
 }
 
-// LiveSnapshot is one consistent-enough read of the counters (each field
-// individually atomic).
-type LiveSnapshot struct {
-	Requests     int64 `json:"requests"`
-	Matched      int64 `json:"matched"`
-	Rejected     int64 `json:"rejected"`
-	Admitted     int64 `json:"admitted"`
-	ShedOverflow int64 `json:"shed_overflow"`
-	ShedDeadline int64 `json:"shed_deadline"`
-	ShedAdaptive int64 `json:"shed_adaptive"`
-	Completed    int64 `json:"completed"`
-	Flushes      int64 `json:"flushes"`
-	Conflicts    int64 `json:"conflicts"`
-	Backlog      int64 `json:"backlog"`
-	ShedLevel    int64 `json:"shed_level_pm"`
-	SLOGood      int64 `json:"slo_good"`
-	SLOBad       int64 `json:"slo_bad"`
-	BurnPM       int64 `json:"slo_burn_pm"`
+// liveMetric is the one definition of a live counter's read side: the key
+// it carries in the JSON snapshot, its Prometheus family (name, help, and
+// counter vs gauge), and how to load it. Live.Snapshot and Live.WriteProm
+// both iterate liveMetrics, so a counter added to Live and given a row here
+// shows up on /metrics in both formats.
+type liveMetric struct {
+	key   string // JSON snapshot key
+	prom  string // Prometheus family name; "" keeps the row out of the exposition
+	help  string
+	gauge bool
+	load  func(*Live) int64
 }
+
+// The three SLO rows are JSON-only: the Prometheus exposition takes the
+// error-budget account from the SLOTracker itself (SLOTracker.WriteProm),
+// which also carries the float-valued burn rate.
+var liveMetrics = []liveMetric{
+	{"requests", "ridesim_requests_total", "Requests submitted to the matching engine.", false, func(l *Live) int64 { return l.Requests.Load() }},
+	{"matched", "ridesim_matched_total", "Requests assigned a vehicle.", false, func(l *Live) int64 { return l.Matched.Load() }},
+	{"rejected", "ridesim_rejected_total", "Requests no vehicle could serve.", false, func(l *Live) int64 { return l.Rejected.Load() }},
+	{"admitted", "ridesim_admitted_total", "Requests stamped into the gateway order.", false, func(l *Live) int64 { return l.Admitted.Load() }},
+	{"shed_overflow", "ridesim_shed_overflow_total", "Requests shed for queue overflow.", false, func(l *Live) int64 { return l.ShedOverflow.Load() }},
+	{"shed_deadline", "ridesim_shed_deadline_total", "Requests shed for blown service windows.", false, func(l *Live) int64 { return l.ShedDeadline.Load() }},
+	{"shed_adaptive", "ridesim_shed_adaptive_total", "Requests shed by the adaptive admission controller.", false, func(l *Live) int64 { return l.ShedAdaptive.Load() }},
+	{"completed", "ridesim_completed_total", "Trips dropped off.", false, func(l *Live) int64 { return l.Completed.Load() }},
+	{"flushes", "ridesim_flushes_total", "Batch windows flushed.", false, func(l *Live) int64 { return l.Flushes.Load() }},
+	{"conflicts", "ridesim_conflicts_total", "Batch conflicts repaired.", false, func(l *Live) int64 { return l.Conflicts.Load() }},
+	{"backlog", "ridesim_backlog", "Requests currently resident in gateway queues.", true, func(l *Live) int64 { return l.Backlog.Load() }},
+	{"shed_level_pm", "ridesim_shed_level_permille", "Adaptive shed probability, per mille.", true, func(l *Live) int64 { return l.ShedLevel.Load() }},
+	{"slo_good", "", "", false, func(l *Live) int64 { return l.SLOGood.Load() }},
+	{"slo_bad", "", "", false, func(l *Live) int64 { return l.SLOBad.Load() }},
+	{"slo_burn_pm", "", "", true, func(l *Live) int64 { return l.BurnPM.Load() }},
+}
+
+// value loads the counter; a nil Live (the disabled state) reads as zero.
+func (m liveMetric) value(l *Live) int64 {
+	if l == nil {
+		return 0
+	}
+	return m.load(l)
+}
+
+// LiveSnapshot is one consistent-enough read of the counters (each value
+// individually atomic), keyed by the liveMetrics JSON keys.
+type LiveSnapshot map[string]int64
 
 // Snapshot reads every counter (nil-safe: all zeros).
 func (l *Live) Snapshot() LiveSnapshot {
-	if l == nil {
-		return LiveSnapshot{}
+	s := make(LiveSnapshot, len(liveMetrics))
+	for _, m := range liveMetrics {
+		s[m.key] = m.value(l)
 	}
-	return LiveSnapshot{
-		Requests:     l.Requests.Load(),
-		Matched:      l.Matched.Load(),
-		Rejected:     l.Rejected.Load(),
-		Admitted:     l.Admitted.Load(),
-		ShedOverflow: l.ShedOverflow.Load(),
-		ShedDeadline: l.ShedDeadline.Load(),
-		ShedAdaptive: l.ShedAdaptive.Load(),
-		Completed:    l.Completed.Load(),
-		Flushes:      l.Flushes.Load(),
-		Conflicts:    l.Conflicts.Load(),
-		Backlog:      l.Backlog.Load(),
-		ShedLevel:    l.ShedLevel.Load(),
-		SLOGood:      l.SLOGood.Load(),
-		SLOBad:       l.SLOBad.Load(),
-		BurnPM:       l.BurnPM.Load(),
+	return s
+}
+
+// WriteProm renders the counters in the Prometheus text format, in
+// liveMetrics order (nil-safe: all zeros). Everything here is atomics, so
+// it is safe mid-run, unlike the quiescent-only histograms.
+func (l *Live) WriteProm(pw *PromWriter) {
+	for _, m := range liveMetrics {
+		switch {
+		case m.prom == "":
+		case m.gauge:
+			pw.Gauge(m.prom, m.help, float64(m.value(l)), nil)
+		default:
+			pw.Counter(m.prom, m.help, m.value(l), nil)
+		}
 	}
 }
 

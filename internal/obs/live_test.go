@@ -23,8 +23,118 @@ func TestLiveNilSafe(t *testing.T) {
 	l.AddFlushes(1)
 	l.AddConflicts(1)
 	l.SetBacklog(5)
-	if s := l.Snapshot(); s != (LiveSnapshot{}) {
-		t.Fatalf("nil Live snapshot = %+v, want zero", s)
+	s := l.Snapshot()
+	if len(s) != len(liveMetrics) {
+		t.Fatalf("nil Live snapshot has %d keys, want one per liveMetrics row (%d)", len(s), len(liveMetrics))
+	}
+	for k, v := range s {
+		if v != 0 {
+			t.Fatalf("nil Live snapshot %s = %d, want zero", k, v)
+		}
+	}
+}
+
+// TestLiveMetricsExposition pins the read side of every live counter: the
+// JSON snapshot keys and the Prometheus family names, help text and types
+// that /metrics has served since the exposition was added. Both formats
+// come from the one liveMetrics table (plus SLOTracker.WriteProm on gateway
+// runs), so a row added there lands in both and must be added here.
+func TestLiveMetricsExposition(t *testing.T) {
+	l := &Live{}
+	l.AddRequests(9)
+	l.AddMatched(7)
+	l.AddRejected(2)
+	l.AddAdmitted(10)
+	l.AddShedOverflow(1)
+	l.AddShedDeadline(3)
+	l.AddShedAdaptive(4)
+	l.AddCompleted(6)
+	l.AddFlushes(5)
+	l.AddConflicts(8)
+	l.SetBacklog(11)
+	l.SetShedLevel(250)
+	l.AddSLOGood(12)
+	l.AddSLOBad(13)
+	l.SetBurnPM(1500)
+
+	js, err := json.Marshal(l.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantJSON = `{"admitted":10,"backlog":11,"completed":6,"conflicts":8,"flushes":5,"matched":7,` +
+		`"rejected":2,"requests":9,"shed_adaptive":4,"shed_deadline":3,"shed_level_pm":250,` +
+		`"shed_overflow":1,"slo_bad":13,"slo_burn_pm":1500,"slo_good":12}`
+	if string(js) != wantJSON {
+		t.Fatalf("JSON snapshot drifted:\n got %s\nwant %s", js, wantJSON)
+	}
+
+	slo := NewSLOTracker(0.9, time.Hour)
+	slo.Observe(true)
+	slo.Observe(true)
+	slo.Observe(true)
+	slo.Observe(false)
+	var buf bytes.Buffer
+	pw := NewPromWriter(&buf)
+	l.WriteProm(pw)
+	slo.WriteProm(pw)
+	(*SLOTracker)(nil).WriteProm(pw) // no tracker (no gateway): exposes nothing
+	if err := pw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	const wantProm = `# HELP ridesim_requests_total Requests submitted to the matching engine.
+# TYPE ridesim_requests_total counter
+ridesim_requests_total 9
+# HELP ridesim_matched_total Requests assigned a vehicle.
+# TYPE ridesim_matched_total counter
+ridesim_matched_total 7
+# HELP ridesim_rejected_total Requests no vehicle could serve.
+# TYPE ridesim_rejected_total counter
+ridesim_rejected_total 2
+# HELP ridesim_admitted_total Requests stamped into the gateway order.
+# TYPE ridesim_admitted_total counter
+ridesim_admitted_total 10
+# HELP ridesim_shed_overflow_total Requests shed for queue overflow.
+# TYPE ridesim_shed_overflow_total counter
+ridesim_shed_overflow_total 1
+# HELP ridesim_shed_deadline_total Requests shed for blown service windows.
+# TYPE ridesim_shed_deadline_total counter
+ridesim_shed_deadline_total 3
+# HELP ridesim_shed_adaptive_total Requests shed by the adaptive admission controller.
+# TYPE ridesim_shed_adaptive_total counter
+ridesim_shed_adaptive_total 4
+# HELP ridesim_completed_total Trips dropped off.
+# TYPE ridesim_completed_total counter
+ridesim_completed_total 6
+# HELP ridesim_flushes_total Batch windows flushed.
+# TYPE ridesim_flushes_total counter
+ridesim_flushes_total 5
+# HELP ridesim_conflicts_total Batch conflicts repaired.
+# TYPE ridesim_conflicts_total counter
+ridesim_conflicts_total 8
+# HELP ridesim_backlog Requests currently resident in gateway queues.
+# TYPE ridesim_backlog gauge
+ridesim_backlog 11
+# HELP ridesim_shed_level_permille Adaptive shed probability, per mille.
+# TYPE ridesim_shed_level_permille gauge
+ridesim_shed_level_permille 250
+# HELP ridesim_slo_good_total Requests released within the wall-clock SLO.
+# TYPE ridesim_slo_good_total counter
+ridesim_slo_good_total 3
+# HELP ridesim_slo_bad_total Requests released late or shed against the SLO budget.
+# TYPE ridesim_slo_bad_total counter
+ridesim_slo_bad_total 1
+# HELP ridesim_slo_objective Configured good-fraction objective.
+# TYPE ridesim_slo_objective gauge
+ridesim_slo_objective 0.9
+# HELP ridesim_slo_burn_rate Rolling-window error-budget burn rate (1 = on budget).
+# TYPE ridesim_slo_burn_rate gauge
+ridesim_slo_burn_rate 2.5000000000000004
+# HELP ridesim_slo_budget_consumed Fraction of the lifetime error budget consumed.
+# TYPE ridesim_slo_budget_consumed gauge
+ridesim_slo_budget_consumed 2.5000000000000004
+`
+	if got := buf.String(); got != wantProm {
+		t.Fatalf("Prometheus exposition drifted:\n got:\n%s\nwant:\n%s", got, wantProm)
 	}
 }
 
@@ -43,7 +153,7 @@ func TestLiveCountersConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	s := l.Snapshot()
-	if s.Requests != 8000 || s.Matched != 8000 {
+	if s["requests"] != 8000 || s["matched"] != 8000 {
 		t.Fatalf("snapshot = %+v, want 8000 requests/matched", s)
 	}
 }
@@ -87,8 +197,8 @@ func TestReporterEmitsIntervalLines(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &rl); err != nil {
 			t.Fatalf("report line %q is not JSON: %v", line, err)
 		}
-		if rl.Stats.Requests != 7 {
-			t.Fatalf("report line carries requests=%d, want 7", rl.Stats.Requests)
+		if rl.Stats["requests"] != 7 {
+			t.Fatalf("report line carries requests=%d, want 7", rl.Stats["requests"])
 		}
 	}
 	var nilR *Reporter
@@ -114,7 +224,7 @@ func TestReporterStopFlushesOnceIdempotent(t *testing.T) {
 	var rl struct {
 		Stats LiveSnapshot `json:"stats"`
 	}
-	if err := json.Unmarshal([]byte(lines[0]), &rl); err != nil || rl.Stats.Requests != 3 {
+	if err := json.Unmarshal([]byte(lines[0]), &rl); err != nil || rl.Stats["requests"] != 3 {
 		t.Fatalf("final line %q bad: %v", lines[0], err)
 	}
 }
@@ -141,8 +251,8 @@ func TestServeMetricsAndPprof(t *testing.T) {
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatalf("/metrics body is not JSON: %v\n%s", err, body)
 	}
-	if snap.Matched != 3 {
-		t.Fatalf("/metrics matched = %d, want 3", snap.Matched)
+	if snap["matched"] != 3 {
+		t.Fatalf("/metrics matched = %d, want 3", snap["matched"])
 	}
 
 	resp, err = http.Get("http://" + s.Addr() + "/debug/pprof/")

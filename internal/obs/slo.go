@@ -157,3 +157,17 @@ func (t *SLOTracker) Snapshot() SLOSnapshot {
 func (t *SLOTracker) BurnPerMille() int64 {
 	return int64(t.Snapshot().BurnRate * 1000)
 }
+
+// WriteProm renders the error-budget account in the Prometheus text
+// format. Nil-safe: a run without a tracker (no gateway) exposes nothing.
+func (t *SLOTracker) WriteProm(pw *PromWriter) {
+	if t == nil {
+		return
+	}
+	s := t.Snapshot()
+	pw.Counter("ridesim_slo_good_total", "Requests released within the wall-clock SLO.", s.Good, nil)
+	pw.Counter("ridesim_slo_bad_total", "Requests released late or shed against the SLO budget.", s.Bad, nil)
+	pw.Gauge("ridesim_slo_objective", "Configured good-fraction objective.", s.Objective, nil)
+	pw.Gauge("ridesim_slo_burn_rate", "Rolling-window error-budget burn rate (1 = on budget).", s.BurnRate, nil)
+	pw.Gauge("ridesim_slo_budget_consumed", "Fraction of the lifetime error budget consumed.", s.BudgetConsumed, nil)
+}

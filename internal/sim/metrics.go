@@ -140,22 +140,6 @@ func (m *Metrics) SetTuning(shards int, cellSize float64, auto bool) {
 	m.AutoTuned = auto
 }
 
-// CacheStatser is implemented by caching oracle stacks that report
-// cumulative hit/miss counters (cache.Oracle, cache.Shared). The engine
-// uses it to fold cache efficacy into its Metrics.
-type CacheStatser interface {
-	DistStats() (hits, misses uint64)
-	PathStats() (hits, misses uint64)
-}
-
-// CacheLatencyStatser is implemented by oracle stacks that additionally
-// sample shortest-path distance lookup latency split by cache outcome
-// (cache.Oracle, cache.Shared). The engine folds the sampled hit/miss
-// distributions into its Metrics on read.
-type CacheLatencyStatser interface {
-	DistLatency() (hit, miss *obs.Histogram)
-}
-
 // NewMetrics returns an empty metrics sink. The dispatch engine gives each
 // shard its own and merges them on read.
 func NewMetrics() *Metrics {

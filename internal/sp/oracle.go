@@ -21,7 +21,7 @@ import (
 // documented classes:
 //
 //   - Per-goroutine engines (Dijkstra, Bidirectional, AStar, ALT,
-//     ArcFlags, cache.Oracle): NOT safe for concurrent use. They reuse
+//     ArcFlags, cache.SharedWorker): NOT safe for concurrent use. They reuse
 //     internal search buffers across queries, which is what makes the
 //     simulator's millions of queries cheap. Every concurrent user needs
 //     its own instance.

@@ -21,7 +21,7 @@ type Fallible interface {
 // Unwrapper is implemented by oracle wrappers (Retry, faults.FlakyOracle,
 // and any future facade) that decorate another oracle. Consumers that
 // need the concrete oracle underneath — dispatch's cache-stats dedup
-// walks wrappers to find the cache.Oracle/SharedWorker inside — peel
+// walks wrappers to find the cache.SharedWorker inside — peel
 // with Unwrap until it stops returning.
 type Unwrapper interface {
 	Unwrap() Oracle

@@ -6,13 +6,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cache"
-	"repro/internal/dispatch"
 	"repro/internal/exp"
 	"repro/internal/ingest"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
-	"repro/internal/sp"
 )
 
 // overloadStep is one point on a degradation curve.
@@ -52,24 +50,11 @@ func BenchmarkOverloadDegradation(b *testing.B) {
 		maxReqs  = 500_000
 	)
 
-	newEngine := func() *dispatch.Engine {
-		cfg := sim.Config{
-			Graph:     world.Graph,
-			Servers:   fleet,
-			Capacity:  4,
-			Algorithm: sim.AlgoTreeSlack,
-			Seed:      9,
-			Workers:   4,
-			Oracle: cache.NewShared(func() sp.Oracle {
-				return sp.NewBidirectional(world.Graph)
-			}, world.Graph.N(), 1<<20, 1<<12, 0),
-		}
-		e, err := dispatch.New(cfg, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return e
-	}
+	// The benchmark drives the gateway itself (one open-loop paced
+	// producer); Build supplies the engine and, given a policy, the gateway.
+	spec := benchSpec(fleet, 4)
+	spec.QueueDepth = 256
+	spec.SLO = slo
 	makeReqs := func(n int) []sim.Request {
 		reqs := make([]sim.Request, n)
 		for i := range reqs {
@@ -88,7 +73,7 @@ func BenchmarkOverloadDegradation(b *testing.B) {
 	// matcher's service rate mu with the same request mix and simulated
 	// time density the sweep uses.
 	calibrate := func() float64 {
-		e := newEngine()
+		e := build(b, world.Graph, spec, pipeline.Hooks{}).Engine
 		defer e.Close()
 		reqs := makeReqs(maxReqs)
 		start := time.Now()
@@ -112,14 +97,12 @@ func BenchmarkOverloadDegradation(b *testing.B) {
 			n = 1
 		}
 		reqs := makeReqs(n)
-		e := newEngine()
-		defer e.Close()
-		gw := ingest.New(ingest.Config{
-			Queues:  e.Shards(),
-			Depth:   256,
-			Policy:  policy,
-			WallSLO: slo,
-		})
+		gated := spec
+		gated.Producers = 1
+		gated.ShedPolicy = policy.String()
+		p := build(b, world.Graph, gated, pipeline.Hooks{})
+		defer p.Close()
+		e, gw := p.Engine, p.Gateway
 		start := time.Now()
 		go func() {
 			// Open-loop paced producer: bursts on a 2ms tick hold the
