@@ -1,5 +1,5 @@
 // Command experiments regenerates the paper's evaluation tables and figures
-// (see DESIGN.md §4 for the experiment index). Example:
+// (exp.AllIDs is the index of experiment IDs -exp accepts). Example:
 //
 //	experiments -scale 0.02 -exp table1,fig6a
 //	experiments -scale 0.05 -exp all -out results.txt

@@ -90,7 +90,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&s.Algo, "algo", s.Algo, "matching algorithm: ktree, ktree-slack, ktree-hotspot, bruteforce, branchbound, mip")
 	fs.Float64Var(&s.Theta, "theta", s.Theta, "hotspot radius in meters (ktree-hotspot)")
 	fs.BoolVar(&s.Lazy, "lazy", s.Lazy, "use lazy tree invalidation (paper §IV-A)")
-	fs.StringVar(&s.Oracle, "oracle", s.Oracle, "shortest-path backend: dijkstra, bidij, astar, alt, arcflags, hublabels, bidij+lru")
+	fs.StringVar(&s.Oracle, "oracle", s.Oracle, "shortest-path backend: "+strings.Join(pipeline.OracleNames(), ", "))
 	fs.Int64Var(&s.Seed, "seed", s.Seed, "random seed")
 	fs.BoolVar(&o.artOut, "art", false, "print the ART-by-request-count breakdown")
 	fs.BoolVar(&o.jsonOut, "json", false, "emit metrics as JSON instead of text")

@@ -8,7 +8,7 @@ import (
 	"repro/internal/roadnet"
 )
 
-// Ablation benchmarks for the design choices DESIGN.md §3 calls out:
+// Ablation benchmarks for the kinetic tree's three design choices:
 // slack-time filtering, hotspot clustering, and eager vs. lazy invalidation.
 
 // buildLoadedTree returns a tree carrying k accepted trips.

@@ -22,7 +22,7 @@ import (
 // The paper's constraint set fixes incoming degrees only; as written it
 // admits branching trees, so we add the (presumably intended) outgoing
 // degree constraints Σ_j y_ij ≤ 1 and forbid arcs into node 0, which
-// together force a Hamiltonian path from node 0. This is noted in DESIGN.md.
+// together force a Hamiltonian path from node 0.
 type MIPScheduler struct {
 	oracle     sp.Oracle
 	maxNodes   int

@@ -46,6 +46,10 @@ func TestSimulationAllAlgorithms(t *testing.T) {
 		t.Run(algo.String(), func(t *testing.T) {
 			cfg := baseConfig(g, factory, algo)
 			cfg.MIPMaxNodes = 3000 // bound pathological MIP instances
+			reqs := reqs
+			if algo == sim.AlgoMIP {
+				reqs = reqs[:mipRequests]
+			}
 			m := runEngine(t, cfg, reqs)
 			if m.Requests != len(reqs) {
 				t.Fatalf("requests: got %d want %d", m.Requests, len(reqs))

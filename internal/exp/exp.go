@@ -1,7 +1,8 @@
 // Package exp is the experiment harness: it regenerates every table and
 // figure of the paper's evaluation (§VI) as text tables. Each experiment is
-// one parameter sweep over full simulation runs; DESIGN.md §4 maps paper
-// figure IDs to the functions here, and cmd/experiments is the CLI driver.
+// one parameter sweep over full simulation runs; Harness.Experiments maps
+// paper figure IDs to the functions here, and cmd/experiments is the CLI
+// driver.
 //
 // Absolute times depend on the host; the shapes the paper reports (who wins,
 // by what factor, where curves cross) are what these experiments reproduce.

@@ -469,11 +469,12 @@ func (h *Harness) ServiceRate() (*Table, error) {
 	return t, nil
 }
 
-// OracleAblation compares end-to-end matching cost across shortest-path
-// backends at the tree defaults: on-demand Dijkstra, bidirectional
-// Dijkstra, A*, ALT, and the paper's design of a precomputed index behind
-// the dual LRU caches. It quantifies why §VI invests in hub labels and
-// caching: the matcher issues millions of distance queries.
+// OracleAblation compares end-to-end matching cost across every oracle
+// stack the pipeline can assemble (pipeline.OracleNames) at the tree
+// defaults: the on-demand searches, the preprocessed indexes, and the
+// paper's design of a search engine behind the dual LRU caches. It
+// quantifies why §VI invests in hub labels and caching: the matcher issues
+// millions of distance queries.
 func (h *Harness) OracleAblation() (*Table, error) {
 	base := h.treeDefaults()
 	base.Algo = sim.AlgoTreeSlack
@@ -486,16 +487,9 @@ func (h *Harness) OracleAblation() (*Table, error) {
 		Title:   "ACRT by shortest-path backend (slack tree at tree defaults)",
 		Columns: []string{"oracle", "ACRT", "run wall time"},
 	}
-	backends := []struct{ name, oracle string }{
-		{"dijkstra", "dijkstra"},
-		{"bidirectional", "bidij"},
-		{"astar", "astar"},
-		{"alt", "alt"},
-		{"bidirectional+lru", "bidij+lru"},
-	}
-	for _, be := range backends {
+	for _, oracle := range pipeline.OracleNames() {
 		spec := h.World.Spec()
-		spec.Oracle = be.oracle
+		spec.Oracle = oracle
 		spec.Algo = base.Algo.String()
 		spec.Servers = base.Servers
 		spec.Capacity = base.Capacity
@@ -506,9 +500,9 @@ func (h *Harness) OracleAblation() (*Table, error) {
 		m, err := Simulate(h.World.Graph, spec, pipeline.Limits{}, reqs)
 		wall := time.Since(start)
 		if err != nil {
-			return nil, fmt.Errorf("exp: oracle ablation %s: %w", be.name, err)
+			return nil, fmt.Errorf("exp: oracle ablation %s: %w", oracle, err)
 		}
-		t.Rows = append(t.Rows, []string{be.name, fmtDur(m.ACRT()), wall.Round(time.Millisecond).String()})
+		t.Rows = append(t.Rows, []string{oracle, fmtDur(m.ACRT()), wall.Round(time.Millisecond).String()})
 	}
 	t.Notes = append(t.Notes, "the paper's design point is a precomputed distance index behind the dual LRU caches (§VI); plain Dijkstra shows what the caching layer buys")
 	return t, nil

@@ -1,13 +1,13 @@
 package faults
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
+
+	"repro/internal/obs"
 )
 
 // Totals is the quiescent-state accounting the harness hands the
@@ -53,37 +53,12 @@ type Report struct {
 	Shed map[int64]int
 }
 
-// traceLine mirrors obs's JSONL schema. Span is set on span lines,
-// which carry interval attribution, not lifecycle claims — the checker
-// skips them (cmd/tracetool is their consumer).
-type traceLine struct {
-	WallNs int64   `json:"wall_ns"`
-	Src    string  `json:"src"`
-	Seq    uint64  `json:"seq"`
-	Event  string  `json:"event"`
-	Span   string  `json:"span"`
-	Req    int64   `json:"req"`
-	T      float64 `json:"t"`
-	Arg    int64   `json:"arg"`
-}
-
 // reqState accumulates one request's lifecycle events.
 type reqState struct {
 	admitted, queued, released   int
 	matched, rejected, completed int
 	shedAdmit, shedPost          int // pre-admission vs post-admission sheds
 }
-
-// Shed reasons, mirrored from obs (faults can't import obs constants
-// into comparisons without the dependency being explicit; these are the
-// Arg values of KindShed events).
-const (
-	shedDeadlineAdmit   = 1
-	shedDeadlineRelease = 2
-	shedOverflow        = 3
-	shedAdaptive        = 4
-	shedWallSLO         = 5
-)
 
 // Check reads a drained JSONL trace and verifies the pipeline's
 // robustness invariants against it and the Totals:
@@ -121,20 +96,13 @@ func Check(r io.Reader, tot Totals) (Report, error) {
 	var errs []string
 	fail := func(format string, args ...any) { errs = append(errs, fmt.Sprintf(format, args...)) }
 
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var ev traceLine
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			return rep, fmt.Errorf("faults: bad trace line %q: %w", line, err)
-		}
-		if ev.Span != "" {
-			continue
-		}
+	// Span lines carry interval attribution, not lifecycle claims
+	// (cmd/tracetool is their consumer); only the events are checked.
+	tr, err := obs.ReadTrace(r)
+	if err != nil {
+		return rep, fmt.Errorf("faults: %w", err)
+	}
+	for _, ev := range tr.Events {
 		rep.Events++
 		st := states[ev.Req]
 		if st == nil {
@@ -163,9 +131,9 @@ func Check(r io.Reader, tot Totals) (Report, error) {
 		case "shed":
 			rep.Shed[ev.Arg]++
 			switch ev.Arg {
-			case shedDeadlineAdmit, shedAdaptive:
+			case obs.ShedReasonDeadlineAdmit, obs.ShedReasonAdaptive:
 				st.shedAdmit++
-			case shedDeadlineRelease, shedOverflow, shedWallSLO:
+			case obs.ShedReasonDeadlineRelease, obs.ShedReasonOverflow, obs.ShedReasonWallSLO:
 				st.shedPost++
 			default:
 				fail("req %d: unknown shed reason %d", ev.Req, ev.Arg)
@@ -175,9 +143,6 @@ func Check(r io.Reader, tot Totals) (Report, error) {
 		default:
 			fail("req %d: unknown event %q", ev.Req, ev.Event)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return rep, err
 	}
 	rep.Requests = len(states)
 
@@ -226,8 +191,8 @@ func Check(r io.Reader, tot Totals) (Report, error) {
 	}
 
 	// Aggregate conservation and metrics agreement.
-	shedPost := rep.Shed[shedDeadlineRelease] + rep.Shed[shedOverflow] + rep.Shed[shedWallSLO]
-	shedAdmit := rep.Shed[shedDeadlineAdmit] + rep.Shed[shedAdaptive]
+	shedPost := rep.Shed[obs.ShedReasonDeadlineRelease] + rep.Shed[obs.ShedReasonOverflow] + rep.Shed[obs.ShedReasonWallSLO]
+	shedAdmit := rep.Shed[obs.ShedReasonDeadlineAdmit] + rep.Shed[obs.ShedReasonAdaptive]
 	if rep.Admitted != rep.Released+shedPost {
 		fail("conservation: admitted=%d != released=%d + post-admission shed=%d",
 			rep.Admitted, rep.Released, shedPost)
@@ -249,13 +214,13 @@ func Check(r io.Reader, tot Totals) (Report, error) {
 		fail("engine outcomes: matched=%d + rejected=%d != released=%d",
 			rep.Matched, rep.Rejected, rep.Released)
 	}
-	if got := rep.Shed[shedOverflow]; got != tot.ShedOverflow {
+	if got := rep.Shed[obs.ShedReasonOverflow]; got != tot.ShedOverflow {
 		fail("metrics disagree: trace overflow sheds=%d, metrics=%d", got, tot.ShedOverflow)
 	}
-	if got := rep.Shed[shedDeadlineAdmit] + rep.Shed[shedDeadlineRelease]; got != tot.ShedDeadline {
+	if got := rep.Shed[obs.ShedReasonDeadlineAdmit] + rep.Shed[obs.ShedReasonDeadlineRelease]; got != tot.ShedDeadline {
 		fail("metrics disagree: trace deadline sheds=%d, metrics=%d", got, tot.ShedDeadline)
 	}
-	if got := rep.Shed[shedAdaptive] + rep.Shed[shedWallSLO]; got != tot.ShedAdaptive {
+	if got := rep.Shed[obs.ShedReasonAdaptive] + rep.Shed[obs.ShedReasonWallSLO]; got != tot.ShedAdaptive {
 		fail("metrics disagree: trace adaptive sheds=%d, metrics=%d", got, tot.ShedAdaptive)
 	}
 

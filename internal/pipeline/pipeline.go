@@ -6,8 +6,10 @@
 //
 // Build is the only code that knows the wiring rules:
 //
-//  1. Spec.Oracle names a shortest-path backend; every shard gets its own
-//     instance (or, for hublabels, the one concurrency-safe index).
+//  1. Spec.Oracle names a shortest-path backend (OracleNames). Whatever
+//     preprocessing it has runs once per pipeline; every shard then gets
+//     its own search state over that one index (or, for hublabels, the one
+//     concurrency-safe index itself).
 //  2. A "+lru" name puts one fleet-wide cache.Shared in front, each shard
 //     holding its own facade, so a distance learned by one shard is a hit
 //     for all the others.
@@ -50,7 +52,7 @@ type Spec struct {
 	Theta float64 // -theta: hotspot radius in meters (ktree-hotspot)
 	Lazy  bool    // -lazy: lazy tree invalidation (paper §IV-A)
 
-	Oracle       string // -oracle: dijkstra, bidij, astar, alt, arcflags, hublabels, bidij+lru
+	Oracle       string // -oracle: an OracleNames entry
 	DistCache    int    // -dist-cache: shared distance-cache entries ("+lru" backends)
 	PathCache    int    // -path-cache: per-shard path-cache entries ("+lru" backends)
 	CacheStripes int    // -cache-stripes: distance-cache stripes, 0 = default
@@ -83,11 +85,10 @@ func Default() Spec {
 
 // resolved is a Spec's enumerated names turned into what they select.
 type resolved struct {
-	algo    sim.Algorithm
-	backend func(*roadnet.Graph) sp.Oracle // one shard's engine
-	cached  bool                           // "+lru": cache.Shared in front
-	policy  ingest.Policy
-	plan    faults.Plan
+	algo   sim.Algorithm
+	oracle oracleStack
+	policy ingest.Policy
+	plan   faults.Plan
 }
 
 // Validate reports the first thing wrong with the Spec, naming the flag
@@ -113,7 +114,7 @@ func (s Spec) resolve() (r resolved, err error) {
 	if r.algo, err = parseAlgo(s.Algo); err != nil {
 		return r, err
 	}
-	if r.backend, r.cached, err = parseOracle(s.Oracle); err != nil {
+	if r.oracle, err = parseOracle(s.Oracle); err != nil {
 		return r, err
 	}
 	if r.policy, err = ingest.ParsePolicy(s.ShedPolicy); err != nil {
@@ -132,36 +133,56 @@ func parseAlgo(name string) (sim.Algorithm, error) {
 	return 0, fmt.Errorf("pipeline: unknown algorithm %q", name)
 }
 
-// parseOracle resolves an oracle name to a constructor of per-shard
-// backends over a graph, and reports whether the name asked for the LRU
-// caching layer on top.
-func parseOracle(name string) (backend func(*roadnet.Graph) sp.Oracle, cached bool, err error) {
-	switch name {
-	case "dijkstra":
-		return func(g *roadnet.Graph) sp.Oracle { return sp.NewDijkstra(g) }, false, nil
-	case "bidij":
-		return func(g *roadnet.Graph) sp.Oracle { return sp.NewBidirectional(g) }, false, nil
-	case "astar":
-		return func(g *roadnet.Graph) sp.Oracle { return sp.NewAStar(g) }, false, nil
-	case "alt":
-		return func(g *roadnet.Graph) sp.Oracle { return sp.NewALT(g, 8) }, false, nil
-	case "arcflags":
-		return func(g *roadnet.Graph) sp.Oracle { return sp.NewArcFlags(g, 6) }, false, nil
-	case "hublabels":
-		// Built on first use and then shared by every shard: HubLabels is
-		// an sp.SharedOracle. (The engine builds its shard oracles from one
-		// goroutine, so the lazy build needs no lock.)
-		var hl *sp.HubLabels
-		return func(g *roadnet.Graph) sp.Oracle {
-			if hl == nil {
-				hl = sp.NewHubLabels(g)
-			}
-			return hl
-		}, false, nil
-	case "bidij+lru":
-		return func(g *roadnet.Graph) sp.Oracle { return sp.NewBidirectional(g) }, true, nil
+// oracleStack is what an oracle name selects.
+type oracleStack struct {
+	name string
+	// backend is called once per pipeline. It does the backend's
+	// preprocessing, if any, and returns the source of per-shard engines:
+	// each call yields an oracle for the exclusive use of one shard.
+	backend func(*roadnet.Graph) func() sp.Oracle
+	cached  bool // "+lru": cache.Shared in front
+}
+
+// perShard is a backend with no preprocessing: every shard gets a fresh
+// engine.
+func perShard[E sp.Oracle](engine func(*roadnet.Graph) E) func(*roadnet.Graph) func() sp.Oracle {
+	return func(g *roadnet.Graph) func() sp.Oracle {
+		return func() sp.Oracle { return engine(g) }
 	}
-	return nil, false, fmt.Errorf("pipeline: unknown oracle %q", name)
+}
+
+// oracleStacks is the one list of oracle names; OracleNames, parseOracle
+// and through them ridesim's -oracle help and exp.OracleAblation read it.
+var oracleStacks = []oracleStack{
+	{"dijkstra", perShard(sp.NewDijkstra), false},
+	{"bidij", perShard(sp.NewBidirectional), false},
+	{"astar", perShard(sp.NewAStar), false},
+	{"alt", func(g *roadnet.Graph) func() sp.Oracle { return sp.NewALT(g, 8).NewWorkerOracle }, false},
+	{"arcflags", func(g *roadnet.Graph) func() sp.Oracle { return sp.NewArcFlags(g, 6).NewWorkerOracle }, false},
+	{"hublabels", func(g *roadnet.Graph) func() sp.Oracle {
+		hl := sp.NewHubLabels(g) // an sp.SharedOracle: every shard queries the one index
+		return func() sp.Oracle { return hl }
+	}, false},
+	{"bidij+lru", perShard(sp.NewBidirectional), true},
+}
+
+// OracleNames lists the oracle stacks a Spec can name, in the order help
+// text and the ablation table show them.
+func OracleNames() []string {
+	names := make([]string, len(oracleStacks))
+	for i, o := range oracleStacks {
+		names[i] = o.name
+	}
+	return names
+}
+
+func parseOracle(name string) (oracleStack, error) {
+	for _, o := range oracleStacks {
+		if o.name == name {
+			return o, nil
+		}
+	}
+	return oracleStack{}, fmt.Errorf("pipeline: unknown oracle %q", name)
 }
 
 // Hooks carries what a Spec cannot: the live observability objects, and
@@ -210,8 +231,8 @@ func Build(g *roadnet.Graph, spec Spec, hooks Hooks) (*Pipeline, error) {
 		p.Injector.SetTrace(hooks.Tracer)
 	}
 
-	shardOracle := func() sp.Oracle { return r.backend(g) }
-	if r.cached {
+	shardOracle := r.oracle.backend(g)
+	if r.oracle.cached {
 		p.shared = cache.NewShared(shardOracle, g.N(), spec.DistCache, spec.PathCache, spec.CacheStripes)
 		shardOracle = p.shared.NewWorkerOracle
 	}

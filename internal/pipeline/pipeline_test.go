@@ -78,7 +78,7 @@ func TestSpecValidation(t *testing.T) {
 	if err := Default().Validate(); err != nil {
 		t.Fatalf("Default() does not validate: %v", err)
 	}
-	for _, name := range []string{"dijkstra", "bidij", "astar", "alt", "arcflags", "hublabels", "bidij+lru"} {
+	for _, name := range OracleNames() {
 		s := Default()
 		s.Oracle = name
 		if err := s.Validate(); err != nil {
@@ -215,5 +215,67 @@ func TestDegradedOracleNeverPoisonsCache(t *testing.T) {
 	if hits1, _ := p.shared.DistStats(); hits1-hits0 < uint64(len(reqs)) {
 		t.Fatalf("only %d of %d read-backs were cache hits; the sample is not reading the run's entries",
 			hits1-hits0, 2*len(reqs))
+	}
+}
+
+// TestPreprocessingRunsOncePerPipeline: a backend's index is built by the
+// one call Build makes to oracleStack.backend, and the per-shard oracles it
+// hands out are distinct engines over that one index — so a 4-shard run of
+// a preprocessed backend matches exactly what the 1-shard run matches.
+func TestPreprocessingRunsOncePerPipeline(t *testing.T) {
+	g, reqs := testWorld(t, 60)
+	for _, name := range []string{"alt", "arcflags", "hublabels"} {
+		t.Run(name, func(t *testing.T) {
+			stack, err := parseOracle(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shardOracle := stack.backend(g)
+			index := func(o sp.Oracle) any {
+				switch o := o.(type) {
+				case interface{ Index() *sp.ALT }:
+					return o.Index()
+				case interface{ Index() *sp.ArcFlags }:
+					return o.Index()
+				case *sp.HubLabels:
+					return o
+				}
+				t.Fatalf("%T: no index known for this oracle", o)
+				return nil
+			}
+			first := shardOracle()
+			for shard := 1; shard < 4; shard++ {
+				o := shardOracle()
+				if index(o) != index(first) {
+					t.Fatalf("shard %d searches over its own index: preprocessing ran again", shard)
+				}
+				if _, shared := o.(sp.SharedOracle); !shared && o == first {
+					t.Fatalf("shard %d was handed shard 0's per-goroutine engine", shard)
+				}
+			}
+
+			run := func(shards int) *sim.Metrics {
+				spec := smallSpec()
+				spec.Oracle = name
+				spec.Workers, spec.Shards = shards, shards
+				p, err := Build(g, spec, Hooks{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer p.Close()
+				src := ingest.SliceSource(reqs)
+				m, _, err := p.Run(&src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			one, four := run(1), run(4)
+			if one.Matched == 0 || four.Matched != one.Matched || four.TrialCalls != one.TrialCalls ||
+				four.Rejected != one.Rejected {
+				t.Fatalf("4 shards matched %d (trials %d, rejected %d), 1 shard %d (trials %d, rejected %d)",
+					four.Matched, four.TrialCalls, four.Rejected, one.Matched, one.TrialCalls, one.Rejected)
+			}
+		})
 	}
 }

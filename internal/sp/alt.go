@@ -4,11 +4,11 @@ import (
 	"repro/internal/roadnet"
 )
 
-// ALT is an A*-with-landmarks engine (Goldberg & Harrelson), one of the
+// ALT is an A*-with-landmarks index (Goldberg & Harrelson), one of the
 // goal-directed techniques the paper surveys for the shortest-path substrate
 // (§VI). Preprocessing selects k landmarks by farthest-point sampling and
-// runs one full Dijkstra per landmark; queries use the triangle-inequality
-// lower bound
+// runs one full Dijkstra per landmark; queries bound the shared search with
+// the triangle-inequality lower bound
 //
 //	h(v) = max_L |d(L, t) − d(L, v)|
 //
@@ -16,22 +16,15 @@ import (
 // dominating the Euclidean heuristic on road networks with non-metric
 // weights.
 //
-// Not safe for concurrent use.
+// The index is immutable once built and is a WorkerSource: build it once
+// and give every goroutine its own NewWorkerOracle.
 type ALT struct {
 	g         *roadnet.Graph
 	landmarks []roadnet.VertexID
 	distTo    [][]float64 // per landmark: distance to every vertex
-
-	dist   []float64
-	parent []roadnet.VertexID
-	stamp  []uint32
-	epoch  uint32
-	heap   distHeap
-
-	active []int // landmark subset used for the current query
 }
 
-// NewALT builds an ALT engine with k landmarks (clamped to [1, 16]).
+// NewALT builds an ALT index with k landmarks (clamped to [1, 16]).
 func NewALT(g *roadnet.Graph, k int) *ALT {
 	if k < 1 {
 		k = 1
@@ -40,12 +33,7 @@ func NewALT(g *roadnet.Graph, k int) *ALT {
 		k = 16
 	}
 	n := g.N()
-	a := &ALT{
-		g:      g,
-		dist:   make([]float64, n),
-		parent: make([]roadnet.VertexID, n),
-		stamp:  make([]uint32, n),
-	}
+	a := &ALT{g: g}
 	if n == 0 {
 		return a
 	}
@@ -83,127 +71,76 @@ func NewALT(g *roadnet.Graph, k int) *ALT {
 // NumLandmarks returns the number of landmarks actually selected.
 func (a *ALT) NumLandmarks() int { return len(a.landmarks) }
 
+// NewWorkerOracle returns one goroutine's engine over the index.
+func (a *ALT) NewWorkerOracle() Oracle {
+	s := &altSearch{idx: a}
+	s.searcher = newSearcher(a.g, s.h)
+	return s
+}
+
+// altSearch is the per-goroutine half of ALT: label state, and the two
+// landmarks chosen for the query in flight.
+type altSearch struct {
+	searcher
+	idx    *ALT
+	active [2]int // landmark indices; -1 = unused
+}
+
+// Index returns the index this engine searches over.
+func (s *altSearch) Index() *ALT { return s.idx }
+
+// gap returns landmark li's lower bound |d(L,t) − d(L,v)| on d(v, t), or
+// -1 when the landmark reaches neither.
+func (a *ALT) gap(li int, v, t roadnet.VertexID) float64 {
+	d := a.distTo[li]
+	if d[t] == Inf || d[v] == Inf {
+		return -1
+	}
+	if diff := d[t] - d[v]; diff >= 0 {
+		return diff
+	}
+	return d[v] - d[t]
+}
+
 // h returns the landmark lower bound on d(v, t) using the active subset.
-func (a *ALT) h(v, t roadnet.VertexID) float64 {
+func (s *altSearch) h(v, t roadnet.VertexID) float64 {
 	best := 0.0
-	for _, li := range a.active {
-		d := a.distTo[li]
-		if d[t] == Inf || d[v] == Inf {
-			continue
-		}
-		diff := d[t] - d[v]
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > best {
-			best = diff
+	for _, li := range s.active {
+		if li >= 0 {
+			if b := s.idx.gap(li, v, t); b > best {
+				best = b
+			}
 		}
 	}
 	return best
 }
 
-// selectActive picks the landmarks giving the best bound for this
+// selectActive picks the two landmarks giving the best bound for this
 // source/target pair (using all of them per relax would dominate runtime).
-func (a *ALT) selectActive(s, t roadnet.VertexID) {
-	a.active = a.active[:0]
-	type scored struct {
-		idx   int
-		bound float64
-	}
-	var best1, best2 scored
-	best1.idx, best2.idx = -1, -1
-	for i := range a.landmarks {
-		d := a.distTo[i]
-		if d[s] == Inf || d[t] == Inf {
-			continue
-		}
-		diff := d[t] - d[s]
-		if diff < 0 {
-			diff = -diff
-		}
+func (s *altSearch) selectActive(u, t roadnet.VertexID) {
+	s.active = [2]int{-1, -1}
+	var bound [2]float64
+	for li := range s.idx.landmarks {
+		b := s.idx.gap(li, u, t)
 		switch {
-		case best1.idx < 0 || diff > best1.bound:
-			best2 = best1
-			best1 = scored{i, diff}
-		case best2.idx < 0 || diff > best2.bound:
-			best2 = scored{i, diff}
+		case b < 0:
+		case s.active[0] < 0 || b > bound[0]:
+			s.active[1], bound[1] = s.active[0], bound[0]
+			s.active[0], bound[0] = li, b
+		case s.active[1] < 0 || b > bound[1]:
+			s.active[1], bound[1] = li, b
 		}
 	}
-	if best1.idx >= 0 {
-		a.active = append(a.active, best1.idx)
-	}
-	if best2.idx >= 0 {
-		a.active = append(a.active, best2.idx)
-	}
-}
-
-func (a *ALT) reset() {
-	a.epoch++
-	if a.epoch == 0 {
-		for i := range a.stamp {
-			a.stamp[i] = 0
-		}
-		a.epoch = 1
-	}
-	a.heap = a.heap[:0]
 }
 
 // Dist returns the shortest-path cost from u to v.
-func (a *ALT) Dist(u, v roadnet.VertexID) float64 {
-	d, _ := a.search(u, v)
-	return d
+func (s *altSearch) Dist(u, v roadnet.VertexID) float64 {
+	s.selectActive(u, v)
+	return s.searcher.Dist(u, v)
 }
 
 // Path returns a shortest path from u to v, or nil if unreachable.
-func (a *ALT) Path(u, v roadnet.VertexID) []roadnet.VertexID {
-	if u == v {
-		return []roadnet.VertexID{u}
-	}
-	if d, ok := a.search(u, v); !ok || d == Inf {
-		return nil
-	}
-	var rev []roadnet.VertexID
-	for at := v; at != -1; at = a.parent[at] {
-		rev = append(rev, at)
-		if at == u {
-			break
-		}
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-func (a *ALT) search(u, v roadnet.VertexID) (float64, bool) {
-	if u == v {
-		return 0, true
-	}
-	a.selectActive(u, v)
-	a.reset()
-	a.stamp[u] = a.epoch
-	a.dist[u] = 0
-	a.parent[u] = -1
-	a.heap.push(distItem{u, a.h(u, v)})
-	for len(a.heap) > 0 {
-		it := a.heap.pop()
-		g := a.dist[it.v]
-		if it.dist > g+a.h(it.v, v)+1e-9 {
-			continue // stale
-		}
-		if it.v == v {
-			return g, true
-		}
-		ts, ws := a.g.Neighbors(it.v)
-		for i, t := range ts {
-			ng := g + ws[i]
-			if a.stamp[t] != a.epoch || ng < a.dist[t] {
-				a.stamp[t] = a.epoch
-				a.dist[t] = ng
-				a.parent[t] = it.v
-				a.heap.push(distItem{t, ng + a.h(t, v)})
-			}
-		}
-	}
-	return Inf, false
+func (s *altSearch) Path(u, v roadnet.VertexID) []roadnet.VertexID {
+	s.selectActive(u, v)
+	return s.searcher.Path(u, v)
 }

@@ -6,14 +6,13 @@ import (
 	"repro/internal/roadnet"
 )
 
-// ArcFlags is an arc-flag shortest-path engine (Lauther), one of the
-// goal-directed techniques the paper surveys ("Arc-flag (directing the
-// search towards the goal)", §VI). The graph's bounding box is partitioned
-// into a grid of regions; preprocessing marks, per directed edge and
-// region, whether the edge lies on some shortest path into that region.
-// Queries run Dijkstra but relax only edges whose flag for the target's
-// region is set, which shrinks the search cone dramatically on long
-// queries.
+// ArcFlags is an arc-flag index (Lauther), one of the goal-directed
+// techniques the paper surveys ("Arc-flag (directing the search towards the
+// goal)", §VI). The graph's bounding box is partitioned into a grid of
+// regions; preprocessing marks, per directed edge and region, whether the
+// edge lies on some shortest path into that region. Queries run the shared
+// search but relax only edges whose flag for the target's region is set,
+// which shrinks the search cone dramatically on long queries.
 //
 // Preprocessing runs one Dijkstra per region-boundary vertex, so it suits
 // medium graphs or offline index construction; build cost is reported by
@@ -23,22 +22,16 @@ import (
 // boundary vertex b, and its prefix is a shortest path to b, whose
 // shortest-path-DAG edges are flagged during b's backward search.
 //
-// Not safe for concurrent use.
+// The index is immutable once built and is a WorkerSource: build it once
+// and give every goroutine its own NewWorkerOracle.
 type ArcFlags struct {
-	g       *roadnet.Graph
-	regions int // total regions (gridDim²)
-	region  []int32
-	// flags[edgeIdx] is a bitmask over regions; edgeIdx is the CSR
-	// position of the directed edge.
+	g      *roadnet.Graph
+	region []int32
+	// flags[bases[u]+i] is a bitmask over regions for the i-th outgoing
+	// edge of u; bases holds cumulative out-degrees (the CSR edge base).
 	flags    []uint64
-	bases    []int // cumulative out-degrees: CSR edge base per vertex
+	bases    []int
 	boundary int
-
-	dist   []float64
-	parent []roadnet.VertexID
-	stamp  []uint32
-	epoch  uint32
-	heap   distHeap
 }
 
 // MaxArcFlagRegions bounds the region count to the flag word width.
@@ -54,15 +47,11 @@ func NewArcFlags(g *roadnet.Graph, gridDim int) *ArcFlags {
 		gridDim--
 	}
 	n := g.N()
-	a := &ArcFlags{
-		g:       g,
-		regions: gridDim * gridDim,
-		region:  make([]int32, n),
-		flags:   make([]uint64, numDirectedEdges(g)),
-		dist:    make([]float64, n),
-		parent:  make([]roadnet.VertexID, n),
-		stamp:   make([]uint32, n),
+	a := &ArcFlags{g: g, region: make([]int32, n), bases: make([]int, n+1)}
+	for v := 0; v < n; v++ {
+		a.bases[v+1] = a.bases[v] + g.Degree(roadnet.VertexID(v))
 	}
+	a.flags = make([]uint64, a.bases[n])
 	if n == 0 {
 		return a
 	}
@@ -87,7 +76,7 @@ func NewArcFlags(g *roadnet.Graph, gridDim int) *ArcFlags {
 		ts, _ := g.Neighbors(roadnet.VertexID(u))
 		for i, t := range ts {
 			if a.region[u] == a.region[t] {
-				a.flags[a.edgeIdx(roadnet.VertexID(u), i)] |= 1 << uint(a.region[t])
+				a.flags[a.bases[u]+i] |= 1 << uint(a.region[t])
 			}
 		}
 	}
@@ -110,38 +99,12 @@ func NewArcFlags(g *roadnet.Graph, gridDim int) *ArcFlags {
 			for i, t := range ts {
 				// Edge (u,t) is tight toward b if d(u,b) = w + d(t,b).
 				if math.Abs(db[u]-(ws[i]+db[t])) < 1e-9 {
-					a.flags[a.edgeIdx(roadnet.VertexID(u), i)] |= bit
+					a.flags[a.bases[u]+i] |= bit
 				}
 			}
 		}
 	}
 	return a
-}
-
-func numDirectedEdges(g *roadnet.Graph) int {
-	total := 0
-	for v := 0; v < g.N(); v++ {
-		total += g.Degree(roadnet.VertexID(v))
-	}
-	return total
-}
-
-// edgeIdx returns the flag index of the i-th outgoing edge of u.
-func (a *ArcFlags) edgeIdx(u roadnet.VertexID, i int) int {
-	// Recompute the CSR offset by walking degrees once would be O(n);
-	// instead use cumulative degree baked at construction time.
-	return a.edgeBase(u) + i
-}
-
-// edgeBase caches cumulative degrees lazily.
-func (a *ArcFlags) edgeBase(u roadnet.VertexID) int {
-	if a.bases == nil {
-		a.bases = make([]int, a.g.N()+1)
-		for v := 0; v < a.g.N(); v++ {
-			a.bases[v+1] = a.bases[v] + a.g.Degree(roadnet.VertexID(v))
-		}
-	}
-	return a.bases[u]
 }
 
 // isBoundary reports whether v has a neighbor in another region.
@@ -159,76 +122,16 @@ func (a *ArcFlags) isBoundary(v roadnet.VertexID) bool {
 // of Dijkstra runs preprocessing performed.
 func (a *ArcFlags) BoundaryVertices() int { return a.boundary }
 
-func (a *ArcFlags) reset() {
-	a.epoch++
-	if a.epoch == 0 {
-		for i := range a.stamp {
-			a.stamp[i] = 0
-		}
-		a.epoch = 1
-	}
-	a.heap = a.heap[:0]
+// NewWorkerOracle returns one goroutine's engine over the index.
+func (a *ArcFlags) NewWorkerOracle() Oracle {
+	s := &arcSearch{newSearcher(a.g, nil)}
+	s.arcs = a
+	return s
 }
 
-// Dist returns the shortest-path cost from u to v.
-func (a *ArcFlags) Dist(u, v roadnet.VertexID) float64 {
-	d, _ := a.search(u, v)
-	return d
-}
+// arcSearch is the per-goroutine half of ArcFlags: the shared search with
+// the index as its edge filter.
+type arcSearch struct{ searcher }
 
-// Path returns a shortest path from u to v, or nil if unreachable.
-func (a *ArcFlags) Path(u, v roadnet.VertexID) []roadnet.VertexID {
-	if u == v {
-		return []roadnet.VertexID{u}
-	}
-	if d, ok := a.search(u, v); !ok || d == Inf {
-		return nil
-	}
-	var rev []roadnet.VertexID
-	for at := v; at != -1; at = a.parent[at] {
-		rev = append(rev, at)
-		if at == u {
-			break
-		}
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-func (a *ArcFlags) search(u, v roadnet.VertexID) (float64, bool) {
-	if u == v {
-		return 0, true
-	}
-	bit := uint64(1) << uint(a.region[v])
-	a.reset()
-	a.stamp[u] = a.epoch
-	a.dist[u] = 0
-	a.parent[u] = -1
-	a.heap.push(distItem{u, 0})
-	for len(a.heap) > 0 {
-		it := a.heap.pop()
-		if it.dist > a.dist[it.v] {
-			continue
-		}
-		if it.v == v {
-			return it.dist, true
-		}
-		base := a.edgeBase(it.v)
-		ts, ws := a.g.Neighbors(it.v)
-		for i, t := range ts {
-			if a.flags[base+i]&bit == 0 {
-				continue // edge provably off all shortest paths into v's region
-			}
-			nd := it.dist + ws[i]
-			if a.stamp[t] != a.epoch || nd < a.dist[t] {
-				a.stamp[t] = a.epoch
-				a.dist[t] = nd
-				a.parent[t] = it.v
-				a.heap.push(distItem{t, nd})
-			}
-		}
-	}
-	return Inf, false
-}
+// Index returns the index this engine searches over.
+func (s *arcSearch) Index() *ArcFlags { return s.arcs }

@@ -4,102 +4,16 @@ import (
 	"repro/internal/roadnet"
 )
 
-// AStar is an A* engine using the Euclidean distance between vertex
-// coordinates as the heuristic. The generators in internal/roadnet guarantee
-// edge weights are at least the Euclidean length between their endpoints,
-// so the heuristic is admissible and A* returns exact shortest paths for
-// those graphs. For arbitrary graphs the caller must ensure admissibility.
+// AStar is the shared search bounded by the Euclidean distance between
+// vertex coordinates. The generators in internal/roadnet guarantee edge
+// weights are at least the Euclidean length between their endpoints, so the
+// bound is admissible and consistent and A* returns exact shortest paths
+// for those graphs. For arbitrary graphs the caller must ensure that.
 //
 // Not safe for concurrent use.
-type AStar struct {
-	g      *roadnet.Graph
-	dist   []float64 // g-cost
-	parent []roadnet.VertexID
-	stamp  []uint32
-	epoch  uint32
-	heap   distHeap // keyed by f = g + h
-}
+type AStar struct{ searcher }
 
 // NewAStar returns an A* engine for g.
 func NewAStar(g *roadnet.Graph) *AStar {
-	n := g.N()
-	return &AStar{
-		g:      g,
-		dist:   make([]float64, n),
-		parent: make([]roadnet.VertexID, n),
-		stamp:  make([]uint32, n),
-	}
-}
-
-func (a *AStar) reset() {
-	a.epoch++
-	if a.epoch == 0 {
-		for i := range a.stamp {
-			a.stamp[i] = 0
-		}
-		a.epoch = 1
-	}
-	a.heap = a.heap[:0]
-}
-
-func (a *AStar) seen(v roadnet.VertexID) bool { return a.stamp[v] == a.epoch }
-
-// Dist returns the shortest-path cost from u to v.
-func (a *AStar) Dist(u, v roadnet.VertexID) float64 {
-	d, _ := a.search(u, v)
-	return d
-}
-
-// Path returns a shortest path from u to v, or nil if unreachable.
-func (a *AStar) Path(u, v roadnet.VertexID) []roadnet.VertexID {
-	if u == v {
-		return []roadnet.VertexID{u}
-	}
-	d, ok := a.search(u, v)
-	if !ok || d == Inf {
-		return nil
-	}
-	var rev []roadnet.VertexID
-	for at := v; at != -1; at = a.parent[at] {
-		rev = append(rev, at)
-		if at == u {
-			break
-		}
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-func (a *AStar) search(u, v roadnet.VertexID) (float64, bool) {
-	if u == v {
-		return 0, true
-	}
-	a.reset()
-	a.stamp[u] = a.epoch
-	a.dist[u] = 0
-	a.parent[u] = -1
-	a.heap.push(distItem{u, a.g.EuclideanDist(u, v)})
-	for len(a.heap) > 0 {
-		it := a.heap.pop()
-		g := a.dist[it.v]
-		if it.dist > g+a.g.EuclideanDist(it.v, v)+1e-9 {
-			continue // stale
-		}
-		if it.v == v {
-			return g, true
-		}
-		ts, ws := a.g.Neighbors(it.v)
-		for i, t := range ts {
-			ng := g + ws[i]
-			if !a.seen(t) || ng < a.dist[t] {
-				a.stamp[t] = a.epoch
-				a.dist[t] = ng
-				a.parent[t] = it.v
-				a.heap.push(distItem{t, ng + a.g.EuclideanDist(t, v)})
-			}
-		}
-	}
-	return Inf, false
+	return &AStar{newSearcher(g, g.EuclideanDist)}
 }

@@ -11,51 +11,13 @@ import (
 // Not safe for concurrent use.
 type Bidirectional struct {
 	g   *roadnet.Graph
-	fwd side
-	bwd side
-}
-
-type side struct {
-	dist   []float64
-	parent []roadnet.VertexID
-	stamp  []uint32
-	epoch  uint32
-	heap   distHeap
-}
-
-func newSide(n int) side {
-	return side{
-		dist:   make([]float64, n),
-		parent: make([]roadnet.VertexID, n),
-		stamp:  make([]uint32, n),
-	}
-}
-
-func (s *side) reset() {
-	s.epoch++
-	if s.epoch == 0 {
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
-		s.epoch = 1
-	}
-	s.heap = s.heap[:0]
-}
-
-func (s *side) seen(v roadnet.VertexID) bool { return s.stamp[v] == s.epoch }
-
-func (s *side) relax(v roadnet.VertexID, d float64, from roadnet.VertexID) {
-	if !s.seen(v) || d < s.dist[v] {
-		s.stamp[v] = s.epoch
-		s.dist[v] = d
-		s.parent[v] = from
-		s.heap.push(distItem{v, d})
-	}
+	fwd labels
+	bwd labels
 }
 
 // NewBidirectional returns a bidirectional Dijkstra engine for g.
 func NewBidirectional(g *roadnet.Graph) *Bidirectional {
-	return &Bidirectional{g: g, fwd: newSide(g.N()), bwd: newSide(g.N())}
+	return &Bidirectional{g: g, fwd: newLabels(g.N()), bwd: newLabels(g.N())}
 }
 
 // Dist returns the shortest-path cost from u to v.
@@ -73,29 +35,9 @@ func (b *Bidirectional) Path(u, v roadnet.VertexID) []roadnet.VertexID {
 	if d == Inf {
 		return nil
 	}
-	// Forward half: u .. meet.
-	var rev []roadnet.VertexID
-	for at := meet; at != -1; at = b.fwd.parent[at] {
-		rev = append(rev, at)
-		if at == u {
-			break
-		}
-	}
-	path := make([]roadnet.VertexID, 0, len(rev)+4)
-	for i := len(rev) - 1; i >= 0; i-- {
-		path = append(path, rev[i])
-	}
-	// Backward half: meet .. v (parents point toward v).
-	for at := b.bwd.parent[meet]; ; at = b.bwd.parent[at] {
-		if at == -1 {
-			break
-		}
-		path = append(path, at)
-		if at == v {
-			break
-		}
-	}
-	return path
+	// Forward half u .. meet, then the backward half, whose parents point
+	// toward v.
+	return b.bwd.chain(b.fwd.pathTo(u, meet), b.bwd.parent[meet], v)
 }
 
 // search runs the bidirectional search and returns the shortest distance and

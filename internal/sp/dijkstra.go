@@ -4,127 +4,20 @@ import (
 	"repro/internal/roadnet"
 )
 
-// Dijkstra is a single-source shortest-path engine with reusable buffers.
-// Search state is invalidated between queries with an epoch stamp rather
-// than an O(n) clear, so repeated queries on large graphs stay cheap.
+// Dijkstra is the plain single-source engine: the shared search with no
+// bound and no edge filter. It is the reference the other engines are
+// tested against.
 //
 // Not safe for concurrent use.
-type Dijkstra struct {
-	g      *roadnet.Graph
-	dist   []float64
-	parent []roadnet.VertexID
-	stamp  []uint32
-	epoch  uint32
-	heap   distHeap
-}
+type Dijkstra struct{ searcher }
 
 // NewDijkstra returns a Dijkstra engine for g.
-func NewDijkstra(g *roadnet.Graph) *Dijkstra {
-	n := g.N()
-	return &Dijkstra{
-		g:      g,
-		dist:   make([]float64, n),
-		parent: make([]roadnet.VertexID, n),
-		stamp:  make([]uint32, n),
-	}
-}
-
-// Graph returns the underlying graph.
-func (d *Dijkstra) Graph() *roadnet.Graph { return d.g }
-
-func (d *Dijkstra) reset() {
-	d.epoch++
-	if d.epoch == 0 { // wrapped: clear stamps explicitly
-		for i := range d.stamp {
-			d.stamp[i] = 0
-		}
-		d.epoch = 1
-	}
-	d.heap = d.heap[:0]
-}
-
-func (d *Dijkstra) seen(v roadnet.VertexID) bool { return d.stamp[v] == d.epoch }
-
-func (d *Dijkstra) relax(v roadnet.VertexID, dist float64, from roadnet.VertexID) {
-	if !d.seen(v) || dist < d.dist[v] {
-		d.stamp[v] = d.epoch
-		d.dist[v] = dist
-		d.parent[v] = from
-		d.heap.push(distItem{v, dist})
-	}
-}
-
-// Dist returns the shortest-path cost from u to v, terminating the search as
-// soon as v is settled.
-func (d *Dijkstra) Dist(u, v roadnet.VertexID) float64 {
-	if u == v {
-		return 0
-	}
-	d.reset()
-	d.relax(u, 0, -1)
-	for len(d.heap) > 0 {
-		it := d.heap.pop()
-		if it.dist > d.dist[it.v] || !d.seen(it.v) {
-			continue // stale entry
-		}
-		if it.v == v {
-			return it.dist
-		}
-		ts, ws := d.g.Neighbors(it.v)
-		for i, t := range ts {
-			d.relax(t, it.dist+ws[i], it.v)
-		}
-		// Mark settled by bumping stored dist guard: we rely on lazy
-		// deletion; nothing else to do.
-	}
-	if d.seen(v) {
-		return d.dist[v]
-	}
-	return Inf
-}
-
-// Path returns a shortest path from u to v, or nil if unreachable.
-func (d *Dijkstra) Path(u, v roadnet.VertexID) []roadnet.VertexID {
-	if u == v {
-		return []roadnet.VertexID{u}
-	}
-	if dist := d.Dist(u, v); dist == Inf {
-		return nil
-	}
-	return d.walkParents(u, v)
-}
-
-// walkParents reconstructs the path from the parent pointers of the most
-// recent search. The search must have settled v.
-func (d *Dijkstra) walkParents(u, v roadnet.VertexID) []roadnet.VertexID {
-	var rev []roadnet.VertexID
-	for at := v; at != -1; at = d.parent[at] {
-		rev = append(rev, at)
-		if at == u {
-			break
-		}
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
+func NewDijkstra(g *roadnet.Graph) *Dijkstra { return &Dijkstra{newSearcher(g, nil)} }
 
 // All computes shortest-path costs from u to every vertex. The returned
 // slice is freshly allocated; unreachable vertices hold +Inf.
 func (d *Dijkstra) All(u roadnet.VertexID) []float64 {
-	d.reset()
-	d.relax(u, 0, -1)
-	for len(d.heap) > 0 {
-		it := d.heap.pop()
-		if it.dist > d.dist[it.v] || !d.seen(it.v) {
-			continue
-		}
-		ts, ws := d.g.Neighbors(it.v)
-		for i, t := range ts {
-			d.relax(t, it.dist+ws[i], it.v)
-		}
-	}
+	d.run(u, -1, nil)
 	out := make([]float64, d.g.N())
 	for i := range out {
 		if d.seen(roadnet.VertexID(i)) {
@@ -134,81 +27,4 @@ func (d *Dijkstra) All(u roadnet.VertexID) []float64 {
 		}
 	}
 	return out
-}
-
-// WithinRadius returns all vertices whose network distance from u is at most
-// r, paired with their distances. The search is truncated at radius r, so
-// cost is proportional to the ball size, not the graph size. Used by the
-// dispatcher to find servers that can satisfy the waiting-time constraint.
-func (d *Dijkstra) WithinRadius(u roadnet.VertexID, r float64) (verts []roadnet.VertexID, dists []float64) {
-	d.reset()
-	d.relax(u, 0, -1)
-	for len(d.heap) > 0 {
-		it := d.heap.pop()
-		if it.dist > d.dist[it.v] || !d.seen(it.v) {
-			continue
-		}
-		if it.dist > r {
-			break
-		}
-		verts = append(verts, it.v)
-		dists = append(dists, it.dist)
-		ts, ws := d.g.Neighbors(it.v)
-		for i, t := range ts {
-			nd := it.dist + ws[i]
-			if nd <= r {
-				d.relax(t, nd, it.v)
-			}
-		}
-	}
-	return verts, dists
-}
-
-// distItem is a heap entry.
-type distItem struct {
-	v    roadnet.VertexID
-	dist float64
-}
-
-// distHeap is a binary min-heap of distItems with lazy deletion. A
-// hand-rolled heap avoids the interface boxing of container/heap on this
-// very hot path.
-type distHeap []distItem
-
-func (h *distHeap) push(it distItem) {
-	*h = append(*h, it)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if (*h)[p].dist <= (*h)[i].dist {
-			break
-		}
-		(*h)[p], (*h)[i] = (*h)[i], (*h)[p]
-		i = p
-	}
-}
-
-func (h *distHeap) pop() distItem {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && old[l].dist < old[small].dist {
-			small = l
-		}
-		if r < n && old[r].dist < old[small].dist {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		old[i], old[small] = old[small], old[i]
-		i = small
-	}
-	return top
 }

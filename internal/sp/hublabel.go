@@ -45,10 +45,6 @@ func NewHubLabels(g *roadnet.Graph) *HubLabels {
 		}
 		return order[a] < order[b]
 	})
-	rank := make([]int32, n) // vertex -> rank (0 = most important)
-	for r, v := range order {
-		rank[v] = int32(r)
-	}
 
 	hl := &HubLabels{
 		g:     g,
@@ -57,56 +53,32 @@ func NewHubLabels(g *roadnet.Graph) *HubLabels {
 		astar: NewAStar(g),
 	}
 
-	// Pruned Dijkstra state (epoch-stamped).
-	dist := make([]float64, n)
-	stamp := make([]uint32, n)
-	var epoch uint32
-	var heap distHeap
-
-	for r := 0; r < n; r++ {
-		root := order[r]
-		epoch++
-		heap = heap[:0]
-		dist[root] = 0
-		stamp[root] = epoch
-		heap.push(distItem{root, 0})
-		for len(heap) > 0 {
-			it := heap.pop()
-			if stamp[it.v] != epoch || it.dist > dist[it.v] {
-				continue
+	// One pruned search per vertex, most important first. During the
+	// search from the rank-r root every vertex carries only labels of
+	// hubs ranked < r, so the label intersection answers "is there
+	// already a witness path via a more important hub?" — including for
+	// the root itself, whose intersection with itself is still empty, so
+	// it is never pruned before labeling itself.
+	s := newSearcher(g, nil)
+	for r, root := range order {
+		s.run(root, -1, func(v roadnet.VertexID, d float64) bool {
+			if hl.intersect(root, v) <= d {
+				return false // pruned: already certified, and so is everything behind v
 			}
-			// Prune: if existing labels already certify a distance
-			// <= it.dist via a higher-ranked hub, skip.
-			if hl.queryRanked(root, it.v, int32(r)) <= it.dist {
-				continue
-			}
-			// Label it.v with hub rank r. Ranks are assigned in
-			// increasing order, so appending keeps lists sorted.
-			hl.hubs[it.v] = append(hl.hubs[it.v], int32(r))
-			hl.dists[it.v] = append(hl.dists[it.v], it.dist)
+			// Ranks are assigned in increasing order, so appending
+			// keeps the lists sorted.
+			hl.hubs[v] = append(hl.hubs[v], int32(r))
+			hl.dists[v] = append(hl.dists[v], d)
 			hl.labels++
-
-			ts, ws := g.Neighbors(it.v)
-			for i, t := range ts {
-				nd := it.dist + ws[i]
-				if stamp[t] != epoch || nd < dist[t] {
-					stamp[t] = epoch
-					dist[t] = nd
-					heap.push(distItem{t, nd})
-				}
-			}
-		}
+			return true
+		})
 	}
 	return hl
 }
 
-// queryRanked is the query used during construction: a pure label
-// intersection with no same-vertex shortcut. During the pruned Dijkstra from
-// the rank-r root, both endpoints carry only labels of hubs ranked < r, so
-// the intersection answers "is there already a witness path via a more
-// important hub?" — including for the root itself, which must not be pruned
-// before labeling itself (its intersection with itself is initially empty).
-func (hl *HubLabels) queryRanked(a, b roadnet.VertexID, _ int32) float64 {
+// intersect merges the label lists of a and b and returns the least
+// distance through a common hub, or Inf if they share none.
+func (hl *HubLabels) intersect(a, b roadnet.VertexID) float64 {
 	ha, da := hl.hubs[a], hl.dists[a]
 	hb, db := hl.hubs[b], hl.dists[b]
 	best := Inf
@@ -134,25 +106,7 @@ func (hl *HubLabels) Dist(u, v roadnet.VertexID) float64 {
 	if u == v {
 		return 0
 	}
-	hu, du := hl.hubs[u], hl.dists[u]
-	hv, dv := hl.hubs[v], hl.dists[v]
-	best := Inf
-	i, j := 0, 0
-	for i < len(hu) && j < len(hv) {
-		switch {
-		case hu[i] == hv[j]:
-			if d := du[i] + dv[j]; d < best {
-				best = d
-			}
-			i++
-			j++
-		case hu[i] < hv[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return best
+	return hl.intersect(u, v)
 }
 
 // Path returns a shortest path from u to v via the internal A* engine.

@@ -1,8 +1,14 @@
 // Package sp provides shortest-path engines over a roadnet.Graph: plain
-// Dijkstra, bidirectional Dijkstra, A*, an all-pairs matrix (for testing),
-// and a hub-labeling index (pruned landmark labeling), which is the
-// "state-of-art hub-labeling algorithm" the paper implements for its
+// Dijkstra, bidirectional Dijkstra, A*, ALT, arc flags, an all-pairs matrix
+// (for testing), and a hub-labeling index (pruned landmark labeling), which
+// is the "state-of-art hub-labeling algorithm" the paper implements for its
 // evaluation (§VI).
+//
+// There is one label state (labels) and one one-sided label-setting loop
+// (searcher.run, search.go). Dijkstra, A*, ALT, arc flags and the pruned
+// searches of the hub-label build are that loop with a different lower
+// bound, edge filter or settle callback; Bidirectional runs its own
+// two-sided loop over two of the same label states.
 //
 // All engines implement the Oracle interface consumed by the scheduling
 // algorithms in internal/core. Distances are in meters, matching
@@ -20,18 +26,22 @@ import (
 // Thread-safety taxonomy. Every oracle in the system falls into one of two
 // documented classes:
 //
-//   - Per-goroutine engines (Dijkstra, Bidirectional, AStar, ALT,
-//     ArcFlags, cache.SharedWorker): NOT safe for concurrent use. They reuse
-//     internal search buffers across queries, which is what makes the
-//     simulator's millions of queries cheap. Every concurrent user needs
-//     its own instance.
+//   - Per-goroutine engines (Dijkstra, Bidirectional, AStar, the engines
+//     an ALT or ArcFlags index hands out, cache.SharedWorker): NOT safe for
+//     concurrent use. They reuse their label state across queries, which
+//     is what makes the simulator's millions of queries cheap. Every
+//     concurrent user needs its own instance.
 //   - SharedOracle implementations (Matrix, HubLabels, cache.Shared):
 //     safe for concurrent use by any number of goroutines; see
 //     SharedOracle for the exact guarantee.
 //
 // A WorkerSource bridges the two classes: it is shared state that hands
-// out per-goroutine facades, so a worker pool can amortize one cache
-// across all workers while keeping each worker's hot path single-threaded.
+// out per-goroutine facades, so a worker pool can amortize one cache, or
+// one preprocessed index, across all workers while keeping each worker's
+// hot path single-threaded. The preprocessed backends are split along that
+// line: ALT and ArcFlags are immutable indexes (landmark tables, arc
+// flags) built once, and their NewWorkerOracle returns label state that
+// searches over the index.
 //
 // The taxonomy is machine-enforced: the oracletaxonomy pass in cmd/vetkit
 // flags per-goroutine oracles crossing a goroutine boundary, factories
@@ -65,13 +75,14 @@ type SharedOracle interface {
 	ConcurrencySafe()
 }
 
-// WorkerSource is implemented by oracle stacks that hand out per-goroutine
-// Oracle facades over shared concurrency-safe state (see cache.Shared).
+// WorkerSource is implemented by what hands out per-goroutine Oracle
+// facades over shared concurrency-safe state: cache.Shared (one distance
+// cache) and the ALT and ArcFlags indexes (one round of preprocessing).
 // Each facade is itself a per-goroutine engine — its hot path touches
 // worker-private buffers and caches — but all facades consult the same
-// shared distance cache, so work done by one worker is visible to all.
-// The sharded dispatch engine builds one facade per shard from a
-// WorkerSource instead of requiring a factory of cold private oracles.
+// shared state, so work done once is visible to all. The sharded dispatch
+// engine builds one facade per shard from a WorkerSource instead of
+// requiring a factory of cold private oracles.
 type WorkerSource interface {
 	// NewWorkerOracle returns a facade for the exclusive use of one
 	// goroutine. Facades may be created concurrently.

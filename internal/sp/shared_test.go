@@ -14,6 +14,9 @@ var (
 	_ SharedOracle = (*HubLabels)(nil)
 	_ Oracle       = (*Dijkstra)(nil)
 	_ Oracle       = (*Bidirectional)(nil)
+	_ Oracle       = (*AStar)(nil)
+	_ WorkerSource = (*ALT)(nil)
+	_ WorkerSource = (*ArcFlags)(nil)
 )
 
 // TestSharedOraclesConcurrent exercises the SharedOracle guarantee under

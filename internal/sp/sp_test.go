@@ -20,71 +20,104 @@ func testGraph(t testing.TB, seed int64) *roadnet.Graph {
 	return g
 }
 
-// TestEnginesAgree cross-validates every shortest-path engine against the
-// Floyd–Warshall matrix on random vertex pairs.
+// engineBuilders constructs one per-goroutine instance of every search
+// engine, keyed by its -oracle name.
+var engineBuilders = map[string]func(*roadnet.Graph) Oracle{
+	"dijkstra":  func(g *roadnet.Graph) Oracle { return NewDijkstra(g) },
+	"bidij":     func(g *roadnet.Graph) Oracle { return NewBidirectional(g) },
+	"astar":     func(g *roadnet.Graph) Oracle { return NewAStar(g) },
+	"alt":       func(g *roadnet.Graph) Oracle { return NewALT(g, 8).NewWorkerOracle() },
+	"arcflags":  func(g *roadnet.Graph) Oracle { return NewArcFlags(g, 4).NewWorkerOracle() },
+	"hublabels": func(g *roadnet.Graph) Oracle { return NewHubLabels(g) },
+}
+
+// searchEngines builds every engine over g.
+func searchEngines(g *roadnet.Graph) map[string]Oracle {
+	engines := make(map[string]Oracle, len(engineBuilders))
+	for name, build := range engineBuilders {
+		engines[name] = build(g)
+	}
+	return engines
+}
+
+// checkPair compares one engine's Dist(u,v), and the edge-by-edge cost of
+// its Path(u,v), against the reference distance.
+func checkPair(t *testing.T, g *roadnet.Graph, name string, e Oracle, u, v roadnet.VertexID, want float64) {
+	t.Helper()
+	if got := e.Dist(u, v); math.Abs(got-want) > 1e-6 {
+		t.Fatalf("%s.Dist(%d,%d) = %v, want %v", name, u, v, got, want)
+	}
+	p := e.Path(u, v)
+	if want == Inf {
+		if p != nil {
+			t.Fatalf("%s.Path(%d,%d) = %v for an unreachable pair", name, u, v, p)
+		}
+		return
+	}
+	if len(p) == 0 || p[0] != u || p[len(p)-1] != v {
+		t.Fatalf("%s.Path(%d,%d) endpoints wrong: %v", name, u, v, p)
+	}
+	if got := pathCost(g, p); math.Abs(got-want) > 1e-6 {
+		t.Fatalf("%s.Path(%d,%d) walks to %v, want %v", name, u, v, got, want)
+	}
+}
+
+// TestEnginesAgree cross-validates every engine against the Floyd–Warshall
+// matrix on all pairs of the test grid: the distance, and that the returned
+// path walks edge-by-edge to exactly that distance.
 func TestEnginesAgree(t *testing.T) {
-	g := testGraph(t, 1)
-	m, err := NewMatrix(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines := map[string]Oracle{
-		"dijkstra":      NewDijkstra(g),
-		"bidirectional": NewBidirectional(g),
-		"astar":         NewAStar(g),
-		"hublabels":     NewHubLabels(g),
-		"alt":           NewALT(g, 8),
-		"arcflags":      NewArcFlags(g, 4),
-	}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 500; i++ {
-		u := roadnet.VertexID(rng.Intn(g.N()))
-		v := roadnet.VertexID(rng.Intn(g.N()))
-		want := m.Dist(u, v)
-		for name, e := range engines {
-			if got := e.Dist(u, v); math.Abs(got-want) > 1e-6 {
-				t.Fatalf("%s.Dist(%d,%d) = %v, want %v", name, u, v, got, want)
+	for _, seed := range []int64{1, 3} {
+		g := testGraph(t, seed)
+		m, err := NewMatrix(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, e := range searchEngines(g) {
+			for u := 0; u < g.N(); u++ {
+				for v := 0; v < g.N(); v++ {
+					u, v := roadnet.VertexID(u), roadnet.VertexID(v)
+					checkPair(t, g, name, e, u, v, m.Dist(u, v))
+				}
 			}
 		}
 	}
 }
 
-// TestPathsAreShortest verifies that returned paths walk edge-by-edge to
-// exactly the reported distance.
-func TestPathsAreShortest(t *testing.T) {
-	g := testGraph(t, 3)
-	m, err := NewMatrix(g)
+// TestEnginesAgreeOnCity repeats the check on sampled pairs of a graph too
+// large for the matrix, against Dijkstra. The city is a grid with a fifth
+// of its edges dropped, so searches meet dead ends and detours the small
+// test grid does not have.
+func TestEnginesAgreeOnCity(t *testing.T) {
+	g, err := roadnet.SyntheticCity(roadnet.CityOptions{Scale: 0.045, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines := map[string]Oracle{
-		"dijkstra":      NewDijkstra(g),
-		"bidirectional": NewBidirectional(g),
-		"astar":         NewAStar(g),
-		"hublabels":     NewHubLabels(g),
-		"alt":           NewALT(g, 8),
-		"arcflags":      NewArcFlags(g, 4),
+	if g.N() < 5000 {
+		t.Fatalf("city has %d vertices, want at least 5000", g.N())
 	}
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 200; i++ {
+	type pair struct {
+		u, v roadnet.VertexID
+		want float64
+	}
+	ref := NewDijkstra(g)
+	rng := rand.New(rand.NewSource(32))
+	pairs := make([]pair, 2000)
+	for i := range pairs {
 		u := roadnet.VertexID(rng.Intn(g.N()))
 		v := roadnet.VertexID(rng.Intn(g.N()))
-		want := m.Dist(u, v)
-		for name, e := range engines {
-			p := e.Path(u, v)
-			if want == Inf {
-				if p != nil {
-					t.Fatalf("%s.Path(%d,%d) non-nil for unreachable pair", name, u, v)
-				}
-				continue
-			}
-			if len(p) == 0 || p[0] != u || p[len(p)-1] != v {
-				t.Fatalf("%s.Path(%d,%d) endpoints wrong: %v", name, u, v, p)
-			}
-			if got := pathCost(g, p); math.Abs(got-want) > 1e-6 {
-				t.Fatalf("%s.Path(%d,%d) walks to %v, want %v", name, u, v, got, want)
-			}
+		pairs[i] = pair{u, v, ref.Dist(u, v)}
+	}
+	for name, build := range engineBuilders {
+		if name == "dijkstra" {
+			continue
 		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel() // the index builds dominate; overlap them
+			e := build(g)
+			for _, p := range pairs {
+				checkPair(t, g, name, e, p.u, p.v, p.want)
+			}
+		})
 	}
 }
 
@@ -144,14 +177,7 @@ func TestDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, e := range map[string]Oracle{
-		"dijkstra":      NewDijkstra(g),
-		"bidirectional": NewBidirectional(g),
-		"astar":         NewAStar(g),
-		"hublabels":     NewHubLabels(g),
-		"alt":           NewALT(g, 4),
-		"arcflags":      NewArcFlags(g, 2),
-	} {
+	for name, e := range searchEngines(g) {
 		if d := e.Dist(0, 2); d != Inf {
 			t.Errorf("%s: cross-component distance %v, want Inf", name, d)
 		}
@@ -164,67 +190,25 @@ func TestDisconnected(t *testing.T) {
 	}
 }
 
-// TestWithinRadius checks the truncated search returns exactly the ball.
-func TestWithinRadius(t *testing.T) {
-	g := testGraph(t, 8)
-	d := NewDijkstra(g)
-	m, err := NewMatrix(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 20; i++ {
-		u := roadnet.VertexID(rng.Intn(g.N()))
-		r := 200 + rng.Float64()*1500
-		verts, dists := d.WithinRadius(u, r)
-		got := make(map[roadnet.VertexID]float64, len(verts))
-		for j, v := range verts {
-			got[v] = dists[j]
-		}
-		for v := 0; v < g.N(); v++ {
-			want := m.Dist(u, roadnet.VertexID(v))
-			gd, ok := got[roadnet.VertexID(v)]
-			if want <= r && !ok {
-				t.Fatalf("WithinRadius(%d, %.0f) missing vertex %d at %.1f", u, r, v, want)
-			}
-			if ok && math.Abs(gd-want) > 1e-6 {
-				t.Fatalf("WithinRadius distance mismatch at %d: %v vs %v", v, gd, want)
-			}
-			if !ok && want <= r {
-				t.Fatalf("missing %d", v)
-			}
-			if ok && want > r+1e-9 {
-				t.Fatalf("WithinRadius(%d, %.0f) included vertex %d at %.1f", u, r, v, want)
-			}
-		}
-	}
-}
-
-// TestHubLabelStats sanity-checks label sizes stay moderate on road-like
-// graphs (they grow roughly with log n on planar networks).
+// TestHubLabelStats pins the index the pruned searches build: the label
+// count on this graph is the one the hand-written build loop produced
+// before it moved onto the shared search, so the settle order, the pruning
+// test and the ranking are all unchanged.
 func TestHubLabelStats(t *testing.T) {
 	g := testGraph(t, 10)
 	hl := NewHubLabels(g)
-	avg := hl.AvgLabelSize()
-	if avg <= 1 {
-		t.Fatalf("average label size %v suspiciously small", avg)
+	if hl.labels != 4749 {
+		t.Fatalf("built %d labels on the %d-vertex test grid, want 4749", hl.labels, g.N())
 	}
-	if avg > 200 {
-		t.Fatalf("average label size %v suspiciously large for a %d-vertex grid", avg, g.N())
+	if got, want := hl.AvgLabelSize(), 4749/float64(g.N()); got != want {
+		t.Fatalf("AvgLabelSize() = %v, want %v", got, want)
 	}
 }
 
 // TestDistSelfIsZero covers the trivial cases across engines.
 func TestDistSelfIsZero(t *testing.T) {
 	g := testGraph(t, 11)
-	for name, e := range map[string]Oracle{
-		"dijkstra":      NewDijkstra(g),
-		"bidirectional": NewBidirectional(g),
-		"astar":         NewAStar(g),
-		"hublabels":     NewHubLabels(g),
-		"alt":           NewALT(g, 4),
-		"arcflags":      NewArcFlags(g, 2),
-	} {
+	for name, e := range searchEngines(g) {
 		if d := e.Dist(3, 3); d != 0 {
 			t.Errorf("%s: Dist(v,v)=%v", name, d)
 		}
@@ -234,61 +218,48 @@ func TestDistSelfIsZero(t *testing.T) {
 	}
 }
 
-// TestEpochWraparound forces the epoch counter to wrap and checks queries
-// stay correct (the stamp-clearing path).
+// TestEpochWraparound forces every engine's epoch counter to wrap
+// mid-stream and checks queries stay correct (the stamp-clearing path of
+// the shared label state).
 func TestEpochWraparound(t *testing.T) {
 	g := testGraph(t, 12)
-	d := NewDijkstra(g)
-	// Private field access is not possible; instead run enough queries to
-	// cross a small artificial wrap by directly manipulating the counter.
-	d.epoch = math.MaxUint32 - 3
 	m, err := NewMatrix(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 10; i++ {
-		u := roadnet.VertexID(rng.Intn(g.N()))
-		v := roadnet.VertexID(rng.Intn(g.N()))
-		if got, want := d.Dist(u, v), m.Dist(u, v); math.Abs(got-want) > 1e-6 {
-			t.Fatalf("after wrap: Dist(%d,%d)=%v want %v", u, v, got, want)
+	engines := searchEngines(g)
+	delete(engines, "hublabels") // answers from its labels; its path engine is an AStar
+	for name, e := range engines {
+		var states []*labels
+		switch e := e.(type) {
+		case *Dijkstra:
+			states = []*labels{&e.labels}
+		case *AStar:
+			states = []*labels{&e.labels}
+		case *altSearch:
+			states = []*labels{&e.labels}
+		case *arcSearch:
+			states = []*labels{&e.labels}
+		case *Bidirectional:
+			states = []*labels{&e.fwd, &e.bwd}
+		default:
+			t.Fatalf("%s: no label state known for %T", name, e)
 		}
-	}
-}
-
-func BenchmarkDijkstraDist(b *testing.B) {
-	g := testGraph(b, 20)
-	d := NewDijkstra(g)
-	rng := rand.New(rand.NewSource(21))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := roadnet.VertexID(rng.Intn(g.N()))
-		v := roadnet.VertexID(rng.Intn(g.N()))
-		d.Dist(u, v)
-	}
-}
-
-func BenchmarkBidirectionalDist(b *testing.B) {
-	g := testGraph(b, 20)
-	d := NewBidirectional(g)
-	rng := rand.New(rand.NewSource(21))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := roadnet.VertexID(rng.Intn(g.N()))
-		v := roadnet.VertexID(rng.Intn(g.N()))
-		d.Dist(u, v)
-	}
-}
-
-func BenchmarkALTDist(b *testing.B) {
-	g := testGraph(b, 20)
-	a := NewALT(g, 8)
-	rng := rand.New(rand.NewSource(21))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := roadnet.VertexID(rng.Intn(g.N()))
-		v := roadnet.VertexID(rng.Intn(g.N()))
-		a.Dist(u, v)
+		e.Dist(0, roadnet.VertexID(g.N()-1)) // stamps at a live epoch, to be cleared by the wrap
+		for _, s := range states {
+			s.epoch = math.MaxUint32 - 3
+		}
+		rng := rand.New(rand.NewSource(13))
+		for i := 0; i < 10; i++ {
+			u := roadnet.VertexID(rng.Intn(g.N()))
+			v := roadnet.VertexID(rng.Intn(g.N()))
+			checkPair(t, g, name, e, u, v, m.Dist(u, v))
+		}
+		for _, s := range states {
+			if s.epoch > 100 {
+				t.Fatalf("%s: epoch %d after 20 searches from MaxUint32-3: it never wrapped", name, s.epoch)
+			}
+		}
 	}
 }
 
@@ -303,18 +274,6 @@ func TestArcFlagsStats(t *testing.T) {
 	}
 }
 
-func BenchmarkArcFlagsDist(b *testing.B) {
-	g := testGraph(b, 20)
-	a := NewArcFlags(g, 4)
-	rng := rand.New(rand.NewSource(21))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := roadnet.VertexID(rng.Intn(g.N()))
-		v := roadnet.VertexID(rng.Intn(g.N()))
-		a.Dist(u, v)
-	}
-}
-
 func TestALTLandmarkCount(t *testing.T) {
 	g := testGraph(t, 22)
 	if got := NewALT(g, 0).NumLandmarks(); got != 1 {
@@ -325,14 +284,30 @@ func TestALTLandmarkCount(t *testing.T) {
 	}
 }
 
-func BenchmarkHubLabelDist(b *testing.B) {
+// benchDist times random-pair Dist queries on the test grid; every engine
+// sees the same pair stream. The last answer is checked against Dijkstra,
+// so an engine that stops answering fails even a smoke run.
+func benchDist(b *testing.B, engine string) {
 	g := testGraph(b, 20)
-	hl := NewHubLabels(g)
+	e := engineBuilders[engine](g)
 	rng := rand.New(rand.NewSource(21))
+	var u, v roadnet.VertexID
+	var last float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		u := roadnet.VertexID(rng.Intn(g.N()))
-		v := roadnet.VertexID(rng.Intn(g.N()))
-		hl.Dist(u, v)
+		u = roadnet.VertexID(rng.Intn(g.N()))
+		v = roadnet.VertexID(rng.Intn(g.N()))
+		last = e.Dist(u, v)
+	}
+	b.StopTimer()
+	if want := NewDijkstra(g).Dist(u, v); math.Abs(last-want) > 1e-6 {
+		b.Fatalf("Dist(%d,%d) = %v, Dijkstra says %v", u, v, last, want)
 	}
 }
+
+func BenchmarkDijkstraDist(b *testing.B)      { benchDist(b, "dijkstra") }
+func BenchmarkBidirectionalDist(b *testing.B) { benchDist(b, "bidij") }
+func BenchmarkAStarDist(b *testing.B)         { benchDist(b, "astar") }
+func BenchmarkALTDist(b *testing.B)           { benchDist(b, "alt") }
+func BenchmarkArcFlagsDist(b *testing.B)      { benchDist(b, "arcflags") }
+func BenchmarkHubLabelDist(b *testing.B)      { benchDist(b, "hublabels") }

@@ -6,7 +6,7 @@
 // clustering of pickups/dropoffs (hotspots such as airports and the CBD,
 // which drive kinetic-tree blow-up and hotspot-clustering benefit), and the
 // trip length distribution — together with a CSV loader that accepts the
-// real data where available. The substitution is documented in DESIGN.md §5.
+// real data where available.
 package trace
 
 import (
