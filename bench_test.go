@@ -20,15 +20,13 @@ import (
 	"repro/internal/sim"
 )
 
-// benchSpec is ridesim's default stack at the fleet seed and cache sizes
-// these benchmarks have always used (the paper-sized 10M-entry distance
-// cache would dominate set-up on their small cities).
+// benchSpec is ridesim's default stack at the fleet seed these benchmarks
+// have always used.
 func benchSpec(servers, workers int) pipeline.Spec {
 	s := pipeline.Default()
 	s.Servers = servers
 	s.Workers = workers
 	s.Seed = 9
-	s.DistCache, s.PathCache = 1<<20, 1<<12
 	return s
 }
 
@@ -111,7 +109,6 @@ func BenchmarkDispatchThroughput(b *testing.B) {
 				r.Metrics["req_per_sec"] = reqPerSec
 				r.Metrics["p99_match_latency_ns"] = float64(p99Match)
 				r.Metrics["dist_cache_hit_rate"] = m.DistCacheHitRate()
-				r.Metrics["path_cache_hit_rate"] = m.PathCacheHitRate()
 				if err := obs.WriteBench(dir, r); err != nil {
 					b.Fatal(err)
 				}

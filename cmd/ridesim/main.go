@@ -2,7 +2,7 @@
 //
 //	ridesim -scale 0.02 -servers 200 -algo ktree-slack -capacity 6
 //	ridesim -graph city.bin -trips trips.csv -algo branchbound
-//	ridesim -scale 0.02 -servers 2000 -workers 8 -batch 10 -cache-stripes 64
+//	ridesim -scale 0.02 -servers 2000 -workers 8 -batch 10
 //	ridesim -scale 0.02 -servers 2000 -workers 4 -producers 8 -arrival surge
 //
 // Without -graph/-trips it generates a synthetic city and workload at the
@@ -12,8 +12,8 @@
 // the fleet, and -batch matches requests in fixed windows instead of on
 // arrival; worker and shard counts change throughput, never assignments.
 // Caching backends ("+lru") run all shards against one fleet-wide shared
-// distance cache (cache.Shared); -dist-cache/-path-cache/-cache-stripes
-// size it, and the end-of-run summary reports its hit rates.
+// distance table (cache.Shared), bounded at the paper's ten million entries
+// and allocated as it fills; the end-of-run summary reports its hit rate.
 //
 // With -producers N the request stream enters through the concurrent
 // ingress gateway (internal/ingest): N producer goroutines submit into
@@ -37,6 +37,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -97,9 +98,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&s.Workers, "workers", s.Workers, "trial worker-pool size (default 1: the shards run inline, no pool)")
 	fs.IntVar(&s.Shards, "shards", s.Shards, "fleet partitions (default: one per worker)")
 	fs.Float64Var(&s.Batch, "batch", s.Batch, "batch window in seconds; 0 matches each request on arrival")
-	fs.IntVar(&s.DistCache, "dist-cache", s.DistCache, "distance-cache capacity in entries (caching backends)")
-	fs.IntVar(&s.PathCache, "path-cache", s.PathCache, "path-cache capacity in entries (caching backends)")
-	fs.IntVar(&s.CacheStripes, "cache-stripes", s.CacheStripes, "stripe count of the shared distance cache (0 = default; caching backends)")
 	fs.IntVar(&s.Producers, "producers", s.Producers, "concurrent request producers; >0 routes the stream through the ingress gateway")
 	fs.IntVar(&s.QueueDepth, "queue-depth", s.QueueDepth, "per-shard ingress queue capacity")
 	fs.StringVar(&s.ShedPolicy, "shed-policy", s.ShedPolicy, "ingress backpressure policy: block, shed-oldest, deadline, adaptive")
@@ -242,12 +240,11 @@ func run(o options, stdout io.Writer) error {
 			p.Engine.Workers(), p.Engine.Shards(), o.spec.Batch)
 	}
 
+	// A run that ends in an error (an invariant violation, a wedged drain)
+	// has metrics all the same; the error is held until they are out.
 	start := time.Now()
-	m, ds, err := p.Run(src)
+	m, ds, runErr := p.Run(src)
 	wall := time.Since(start)
-	if err != nil {
-		return err
-	}
 	// A generator ends its stream silently from the driver's point of
 	// view; surface an abnormal (sampling-failure) ending rather than
 	// reporting metrics over a quietly truncated workload.
@@ -257,20 +254,28 @@ func run(o options, stdout io.Writer) error {
 		}
 	}
 	runtime.ReadMemStats(&ms1)
+	return report(stdout, o, p, hooks.Tracer, m, ds, wall, &ms0, &ms1, runErr)
+}
 
+// report writes what a finished run leaves behind — the drained trace,
+// then the JSON snapshot or the text report — and returns runErr, the
+// run's own verdict, after them: a failed run still shows its numbers and
+// still fails.
+func report(stdout io.Writer, o options, p *pipeline.Pipeline, tracer *obs.Tracer, m *sim.Metrics, ds ingest.DriveStats,
+	wall time.Duration, ms0, ms1 *runtime.MemStats, runErr error) error {
 	// Drain the lifecycle trace once the pipeline is quiescent: events from
 	// every ring, globally ordered, one JSON object per line.
-	if hooks.Tracer != nil {
+	if tracer != nil {
 		f, err := os.Create(o.traceOut)
 		if err != nil {
-			return err
+			return errors.Join(runErr, err)
 		}
-		written, dropped, derr := hooks.Tracer.Drain(f)
+		written, dropped, derr := tracer.Drain(f)
 		if cerr := f.Close(); derr == nil {
 			derr = cerr
 		}
 		if derr != nil {
-			return fmt.Errorf("trace drain: %w", derr)
+			return errors.Join(runErr, fmt.Errorf("trace drain: %w", derr))
 		}
 		if !o.jsonOut {
 			fmt.Fprintf(stdout, "trace: %d records (events + spans) -> %s (%d dropped by ring caps)\n", written, o.traceOut, dropped)
@@ -280,9 +285,12 @@ func run(o options, stdout io.Writer) error {
 	if o.jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(m.Snapshot())
+		if err := enc.Encode(m.Snapshot()); err != nil {
+			return errors.Join(runErr, err)
+		}
+		return runErr
 	}
 	fmt.Fprintf(stdout, "\n%s\nwall time: %v\n", m, wall.Round(time.Millisecond))
-	printSummary(stdout, o, p, m, ds, &ms0, &ms1)
-	return nil
+	printSummary(stdout, o, p, m, ds, ms0, ms1)
+	return runErr
 }

@@ -3,24 +3,33 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/ingest"
+	"repro/internal/pipeline"
+	"repro/internal/sim"
 )
 
 // goldenArgs is the run testdata/golden.json holds: the -json snapshot of
-// exactly these flags, captured from the last commit that still had the
-// separate sequential simulator (0746eb7, where these flags selected it).
-// It pins, from outside the engine, that folding that path into
-// dispatch.Engine left ridesim's default output alone.
+// exactly these flags. Its seedExact fields are still the values captured
+// at the last commit that had the separate sequential simulator (0746eb7,
+// where these flags selected it), so it pins, from outside the engine,
+// that folding that path into dispatch.Engine left ridesim's default
+// output alone. The file was written again when the path cache was
+// deleted; only path_cache_* and wall-clock fields moved.
 var goldenArgs = []string{"-scale", "0.002", "-servers", "40", "-seed", "7", "-json"}
 
 // seedExact are the snapshot fields a seed fixes exactly: every integer
 // counter plus the occupancy statistics (small-integer arithmetic over
 // per-vehicle peaks). Wall-clock fields, float totals (summation order
-// varies with shard count) and cache counters (per-shard path LRUs
-// partition the lookup stream) are deliberately left out.
+// varies with shard count) and cache counters (two workers can both miss
+// a pair one of them is about to publish) are deliberately left out.
 type seedExact struct {
 	Requests      int     `json:"requests"`
 	Matched       int     `json:"matched"`
@@ -80,6 +89,43 @@ func TestGoldenJSON(t *testing.T) {
 				t.Fatalf("seed-exact metrics drifted from the golden:\n got %+v\nwant %+v", got, want)
 			}
 		})
+	}
+}
+
+// TestFailedRunStillReports: a run that ends in an error (an invariant
+// violation, say) has metrics all the same. report must write them in
+// full, text and JSON alike, and then hand the error back so the exit
+// status stays non-zero.
+func TestFailedRunStillReports(t *testing.T) {
+	runErr := errors.New("pipeline: invariant violated: dispatch: 1 service-guarantee violations")
+	m := sim.NewMetrics()
+	m.Requests, m.Matched, m.Rejected, m.Violations = 12969, 3869, 9100, 1
+	m.DistCacheHits, m.DistCacheMisses, m.PathCacheMisses = 90, 10, 7
+	var ms runtime.MemStats
+	for _, c := range []struct {
+		json bool
+		want []string
+	}{
+		{false, []string{"requests=12969", "violations=1", "wall time: 1m45s", "occupancy:", "tuning (", "dist cache: 90.0% hit (90 hits, 10 misses); 7 path searches"}},
+		{true, []string{`"requests": 12969`, `"violations": 1`, `"path_cache_misses": 7`}},
+	} {
+		var out bytes.Buffer
+		err := report(&out, options{jsonOut: c.json}, &pipeline.Pipeline{}, nil, m, ingest.DriveStats{}, 105*time.Second, &ms, &ms, runErr)
+		if !errors.Is(err, runErr) {
+			t.Errorf("json=%v: report returned %v, want the run error", c.json, err)
+		}
+		for _, want := range c.want {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("json=%v: report lacks %q:\n%s", c.json, want, out.String())
+			}
+		}
+		if c.json && !json.Valid(out.Bytes()) {
+			t.Errorf("stdout is not one JSON snapshot:\n%s", out.String())
+		}
+	}
+	var out bytes.Buffer
+	if err := report(&out, options{}, &pipeline.Pipeline{}, nil, m, ingest.DriveStats{}, time.Second, &ms, &ms, nil); err != nil {
+		t.Errorf("a clean run's report returned %v", err)
 	}
 }
 

@@ -56,12 +56,11 @@ func printSummary(w io.Writer, o options, p *pipeline.Pipeline, m *sim.Metrics, 
 				ds.Sourced, ds.Submitted, ds.Dropped, ds.Discarded)
 		}
 	}
-	// Aggregate shortest-path cache efficacy, summed across all shards;
-	// silent when the selected backend has no caches.
-	if m.DistCacheHits+m.DistCacheMisses+m.PathCacheHits+m.PathCacheMisses > 0 {
-		fmt.Fprintf(w, "dist cache: %.1f%% hit (%d hits, %d misses); path cache: %.1f%% hit (%d hits, %d misses)\n",
-			m.DistCacheHitRate()*100, m.DistCacheHits, m.DistCacheMisses,
-			m.PathCacheHitRate()*100, m.PathCacheHits, m.PathCacheMisses)
+	// The shared distance table's efficacy, summed across all shards;
+	// silent when the selected backend has no cache.
+	if m.DistCacheHits+m.DistCacheMisses+m.PathCacheMisses > 0 {
+		fmt.Fprintf(w, "dist cache: %.1f%% hit (%d hits, %d misses); %d path searches\n",
+			m.DistCacheHitRate()*100, m.DistCacheHits, m.DistCacheMisses, m.PathCacheMisses)
 	}
 	if o.artOut {
 		fmt.Fprintln(w, "\nART by scheduled requests:")

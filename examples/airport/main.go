@@ -24,7 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	oracle := cache.NewShared(func() sp.Oracle { return sp.NewBidirectional(g) }, g.N(), 1<<16, 1<<10, 0)
+	oracle := cache.NewSharedDefault(func() sp.Oracle { return sp.NewBidirectional(g) }, g.N())
 
 	// The "airport": vertex 0's corner of the grid; terminals are the
 	// vertices adjacent to it. Dropoffs are spread across the city.

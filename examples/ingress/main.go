@@ -42,7 +42,6 @@ func main() {
 		spec.Servers = 60
 		spec.Seed = 42
 		spec.Workers = 4
-		spec.DistCache, spec.PathCache = 1<<20, 1<<12
 		spec.Producers = 8
 		spec.QueueDepth = 16 // tiny on purpose: let the policies differ
 		spec.ShedPolicy = policy.String()

@@ -22,8 +22,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Bidirectional Dijkstra behind the paper's dual LRU caches.
-	oracle := cache.NewShared(func() sp.Oracle { return sp.NewBidirectional(g) }, g.N(), 1<<16, 1<<10, 0)
+	// Bidirectional Dijkstra behind the shared distance table.
+	oracle := cache.NewSharedDefault(func() sp.Oracle { return sp.NewBidirectional(g) }, g.N())
 
 	// One server at vertex 0 with capacity 4, slack-time filtering on.
 	tree := core.NewTree(oracle, 0, 0, core.TreeOptions{Slack: true, Capacity: 4})

@@ -62,7 +62,6 @@ func main() {
 		spec.Algo = algo.String()
 		spec.Servers = 100
 		spec.Seed = 42
-		spec.DistCache, spec.PathCache = 1<<20, 1<<12
 		spec.Producers = producers
 		spec.QueueDepth = queueDepth
 		spec.ShedPolicy = ingest.ShedOldest.String()

@@ -7,9 +7,8 @@ import (
 	"repro/internal/sp"
 )
 
-// distinctPairs returns want ordered pairs with u < v, so the oracle's
-// reverse-direction priming can never turn a planned first-touch miss into
-// a hit.
+// distinctPairs returns want pairs with u < v: (u,v) and (v,u) are one
+// entry, so only these are guaranteed first-touch misses.
 func distinctPairs(t *testing.T, g *roadnet.Graph, want int) [][2]roadnet.VertexID {
 	t.Helper()
 	var pairs [][2]roadnet.VertexID
@@ -32,7 +31,7 @@ func distinctPairs(t *testing.T, g *roadnet.Graph, want int) [][2]roadnet.Vertex
 // would race).
 func TestSharedDistLatencySampling(t *testing.T) {
 	g := testGraph(t)
-	s := NewShared(func() sp.Oracle { return sp.NewBidirectional(g) }, g.N(), 1<<20, 1<<10, 0)
+	s := NewSharedDefault(func() sp.Oracle { return sp.NewBidirectional(g) }, g.N())
 	w1, w2 := s.NewWorker(), s.NewWorker()
 	pairs := distinctPairs(t, g, 2*distSampleEvery)
 
@@ -40,7 +39,7 @@ func TestSharedDistLatencySampling(t *testing.T) {
 		w1.Dist(p[0], p[1]) // misses, computed on w1's engine
 	}
 	for _, p := range pairs {
-		w2.Dist(p[0], p[1]) // hits: w1 published to the shared cache
+		w2.Dist(p[0], p[1]) // hits: w1 published to the shared table
 	}
 	hit, miss := s.DistLatency()
 	if miss.Count() != 2 || hit.Count() != 2 {

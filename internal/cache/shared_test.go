@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -30,71 +33,151 @@ func testGraph(t testing.TB) *roadnet.Graph {
 	return g
 }
 
+// countingOracle counts how many Dist/Path calls reach the inner engine.
+type countingOracle struct {
+	inner        sp.Oracle
+	dists, paths int
+}
+
+func (c *countingOracle) Dist(u, v roadnet.VertexID) float64 {
+	c.dists++
+	return c.inner.Dist(u, v)
+}
+
+func (c *countingOracle) Path(u, v roadnet.VertexID) []roadnet.VertexID {
+	c.paths++
+	return c.inner.Path(u, v)
+}
+
+// countingEngines is a NewShared engine factory whose engines are fresh
+// countingOracles; paths and dists total the queries that reached any of
+// them. Single-goroutine tests only.
+type countingEngines struct {
+	newInner func() sp.Oracle
+	engines  []*countingOracle
+}
+
+func (c *countingEngines) new() sp.Oracle {
+	e := &countingOracle{inner: c.newInner()}
+	c.engines = append(c.engines, e)
+	return e
+}
+
+func (c *countingEngines) dists() (n int) {
+	for _, e := range c.engines {
+		n += e.dists
+	}
+	return n
+}
+
+func (c *countingEngines) paths() (n int) {
+	for _, e := range c.engines {
+		n += e.paths
+	}
+	return n
+}
+
 // TestSharedCrossWorkerHits: a distance computed through one worker facade
 // must be a cache hit for every other facade — the whole point of the
 // shared stack.
 func TestSharedCrossWorkerHits(t *testing.T) {
 	g := testGraph(t)
-	var engines []*countingOracle
-	s := NewShared(func() sp.Oracle {
-		e := &countingOracle{inner: sp.NewBidirectional(g)}
-		engines = append(engines, e)
-		return e
-	}, g.N(), 1<<16, 1<<10, 4)
+	inner := &countingEngines{newInner: func() sp.Oracle { return sp.NewBidirectional(g) }}
+	s := NewSharedDefault(inner.new, g.N())
 
 	a, b := s.NewWorker(), s.NewWorker()
 	want := a.Dist(0, 20)
 	if got := b.Dist(0, 20); got != want {
 		t.Fatalf("worker B Dist = %v, worker A computed %v", got, want)
 	}
-	// Symmetric priming: the reverse direction is also a hit.
-	if got := b.Dist(20, 0); got != want {
-		t.Fatalf("reverse Dist = %v, want %v", got, want)
+	if inner.dists() != 1 {
+		t.Fatalf("inner engines ran %d distance queries, want 1 (the rest served from the shared table)", inner.dists())
 	}
-	total := 0
-	for _, e := range engines {
-		total += e.dists
-	}
-	if total != 1 {
-		t.Fatalf("inner engines ran %d distance queries, want 1 (the rest served from the shared cache)", total)
-	}
-	hits, misses := s.DistStats()
-	if misses != 1 || hits != 2 {
-		t.Fatalf("DistStats = (%d hits, %d misses), want (2, 1)", hits, misses)
+	if hits, misses := s.DistStats(); misses != 1 || hits != 1 {
+		t.Fatalf("DistStats = (%d hits, %d misses), want (1, 1)", hits, misses)
 	}
 }
 
-// TestSharedWorkerPathsArePrivate: path caches are per worker — a path
-// learned by one facade is recomputed by another — and each facade primes
-// its own reverse direction.
-func TestSharedWorkerPathsArePrivate(t *testing.T) {
+// TestSharedPairIsOneEntry: the graph is undirected, so Dist(u,v) then
+// Dist(v,u) runs one engine search and leaves one entry, through a facade
+// and through the stack itself.
+func TestSharedPairIsOneEntry(t *testing.T) {
 	g := testGraph(t)
-	var engines []*countingOracle
-	s := NewShared(func() sp.Oracle {
-		e := &countingOracle{inner: sp.NewBidirectional(g)}
-		engines = append(engines, e)
-		return e
-	}, g.N(), 1<<16, 1<<10, 4)
+	inner := &countingEngines{newInner: func() sp.Oracle { return sp.NewBidirectional(g) }}
+	s := NewSharedDefault(inner.new, g.N())
+	w := s.NewWorker()
 
-	a, b := s.NewWorker(), s.NewWorker()
-	p := a.Path(0, 20)
-	if len(p) == 0 || p[0] != 0 || p[len(p)-1] != 20 {
-		t.Fatalf("bad path %v", p)
+	want := w.Dist(3, 41)
+	for _, got := range []float64{w.Dist(41, 3), s.Dist(41, 3), s.Dist(3, 41)} {
+		if got != want {
+			t.Fatalf("Dist of the same pair = %v, first answer was %v", got, want)
+		}
 	}
-	rev := a.Path(20, 0) // reverse-primed, must not touch the engine
-	if len(rev) != len(p) || rev[0] != 20 || rev[len(rev)-1] != 0 {
-		t.Fatalf("reverse path %v does not mirror %v", rev, p)
+	if inner.dists() != 1 {
+		t.Fatalf("engines ran %d searches for one pair, want 1", inner.dists())
 	}
-	if engines[0].paths != 1 {
-		t.Fatalf("worker A engine ran %d path queries, want 1", engines[0].paths)
+	if n := s.dists.size(); n != 1 {
+		t.Fatalf("table holds %d entries for one pair, want 1", n)
 	}
-	b.Path(0, 20)
-	if engines[1].paths != 1 {
-		t.Fatalf("worker B engine ran %d path queries, want 1 (path caches are private)", engines[1].paths)
+	if hits, misses := s.DistStats(); hits != 3 || misses != 1 {
+		t.Fatalf("DistStats = (%d hits, %d misses), want (3, 1)", hits, misses)
 	}
-	ph, pm := s.PathStats()
-	if ph != 1 || pm != 2 {
-		t.Fatalf("aggregate PathStats = (%d, %d), want (1 hit, 2 misses)", ph, pm)
+}
+
+// TestSharedBoundHolds: the bound is the eviction limit. After three times
+// the bound in distinct pairs the table has never exceeded it, and — LRU
+// per stripe — the most recent pair is still a hit while the oldest ones
+// are not all still there.
+func TestSharedBoundHolds(t *testing.T) {
+	g := testGraph(t)
+	const bound = 64
+	inner := &countingEngines{newInner: func() sp.Oracle { return sp.NewBidirectional(g) }}
+	s := NewShared(inner.new, g.N(), bound, 0, 4)
+	w := s.NewWorker()
+
+	pairs := distinctPairs(t, g, 3*bound)
+	for _, p := range pairs {
+		w.Dist(p[0], p[1])
+		if n := s.dists.size(); n > bound {
+			t.Fatalf("table holds %d entries, bound is %d", n, bound)
+		}
+	}
+	if inner.dists() != len(pairs) {
+		t.Fatalf("engines ran %d searches for %d first-touch pairs", inner.dists(), len(pairs))
+	}
+	if err := s.dists.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	last := pairs[len(pairs)-1]
+	w.Dist(last[1], last[0])
+	if inner.dists() != len(pairs) {
+		t.Fatal("the most recent pair was evicted")
+	}
+	for _, p := range pairs[:bound] {
+		w.Dist(p[0], p[1])
+	}
+	if inner.dists() == len(pairs) {
+		t.Fatalf("all of the oldest %d pairs survived %d later ones in a table of %d", bound, 2*bound, bound)
+	}
+}
+
+// TestSharedFreshStackIsSmall: a stack costs what it holds. The paper's
+// ten-million-entry bound used to be paid up front (≈300 MiB of map before
+// the first query); a fresh default stack must add well under 1 MiB.
+func TestSharedFreshStackIsSmall(t *testing.T) {
+	g := testGraph(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := NewSharedDefault(func() sp.Oracle { return sp.NewBidirectional(g) }, g.N())
+	w := s.NewWorker()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 1<<20 {
+		t.Fatalf("a fresh default stack added %d bytes of live heap, want < 1 MiB", grew)
+	}
+	if d := w.Dist(0, 63); d <= 0 || d == sp.Inf {
+		t.Fatalf("Dist(0,63) = %v", d)
 	}
 }
 
@@ -109,9 +192,8 @@ func TestSharedDirectFacade(t *testing.T) {
 		if got, want := s.Dist(u, v), ref.Dist(u, v); got != want {
 			t.Fatalf("Dist(%d,%d) = %v, want %v", u, v, got, want)
 		}
-		p := s.Path(u, v)
-		if p[0] != u || p[len(p)-1] != v {
-			t.Fatalf("Path(%d,%d) endpoints wrong: %v", u, v, p)
+		if got, want := s.Path(u, v), ref.Path(u, v); !slices.Equal(got, want) {
+			t.Fatalf("Path(%d,%d) = %v, the engine says %v", u, v, got, want)
 		}
 	}
 }
@@ -120,7 +202,7 @@ func TestSharedDirectFacade(t *testing.T) {
 // queries, under -race. Every worker must observe identical distances.
 func TestSharedConcurrent(t *testing.T) {
 	g := testGraph(t)
-	s := NewShared(func() sp.Oracle { return sp.NewBidirectional(g) }, g.N(), 1<<14, 1<<8, 8)
+	s := NewSharedDefault(func() sp.Oracle { return sp.NewBidirectional(g) }, g.N())
 	ref := sp.NewDijkstra(g)
 	n := roadnet.VertexID(int32(g.N()))
 
@@ -155,7 +237,7 @@ func TestSharedConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The cache must hold exact values: spot-check against Dijkstra.
+	// The table must hold exact values: spot-check against Dijkstra.
 	for _, pair := range [][2]roadnet.VertexID{{1, 50}, {10, 33}} {
 		u, v := pair[0], pair[1]
 		if got, want := s.Dist(u, v), ref.Dist(u, v); got != want {
@@ -164,5 +246,93 @@ func TestSharedConcurrent(t *testing.T) {
 	}
 	if h, m := s.DistStats(); h+m == 0 {
 		t.Fatal("no distance lookups recorded")
+	}
+}
+
+func TestCachedOracleCorrectAndCaching(t *testing.T) {
+	g, err := roadnet.Grid(roadnet.GridOptions{Rows: 8, Cols: 8, Spacing: 100, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := &countingEngines{newInner: func() sp.Oracle { return sp.NewDijkstra(g) }}
+	s := NewShared(inner.new, g.N(), 1000, 0, 0)
+	o := s.NewWorker()
+	ref := sp.NewDijkstra(g)
+
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 2000; i++ {
+		u := roadnet.VertexID(rng.Intn(g.N()))
+		v := roadnet.VertexID(rng.Intn(g.N()))
+		if got, want := o.Dist(u, v), ref.Dist(u, v); got != want {
+			t.Fatalf("cached Dist(%d,%d)=%v want %v", u, v, got, want)
+		}
+	}
+	if inner.dists() >= 2000 {
+		t.Fatalf("cache ineffective: %d inner calls for 2000 queries", inner.dists())
+	}
+	hits, misses := s.DistStats()
+	if hits == 0 || hits+misses == 0 {
+		t.Fatalf("no cache hits recorded (h=%d m=%d)", hits, misses)
+	}
+}
+
+// TestCachedOraclePaths: Path is a pass-through. Every call with u != v is
+// one engine search, returns what the engine returns, and is what
+// PathStats reports as a miss; nothing is ever a path hit.
+func TestCachedOraclePaths(t *testing.T) {
+	g, err := roadnet.Grid(roadnet.GridOptions{Rows: 6, Cols: 6, Spacing: 100, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := &countingEngines{newInner: func() sp.Oracle { return sp.NewDijkstra(g) }}
+	s := NewSharedDefault(inner.new, g.N())
+	o := s.NewWorker()
+	want := sp.NewDijkstra(g).Path(0, 20)
+	for _, got := range [][]roadnet.VertexID{o.Path(0, 20), o.Path(0, 20), s.Path(0, 20)} {
+		if !slices.Equal(got, want) {
+			t.Fatalf("Path(0,20) = %v, the engine says %v", got, want)
+		}
+	}
+	if p := o.Path(4, 4); len(p) != 1 || p[0] != 4 {
+		t.Fatalf("Path(v,v) = %v", p)
+	}
+	if inner.paths() != 3 {
+		t.Fatalf("engines ran %d path searches, want 3 (one per call, none for u == v)", inner.paths())
+	}
+	if hits, misses := s.PathStats(); hits != 0 || misses != 3 {
+		t.Fatalf("PathStats = (%d, %d), want (0, 3)", hits, misses)
+	}
+}
+
+// TestSharedPathUnreachable: an unreachable pair is +Inf / nil in both
+// directions, through the table and past it, and queries around it keep
+// working.
+func TestSharedPathUnreachable(t *testing.T) {
+	// Two disconnected components: 0—1 and 2—3.
+	b := roadnet.NewBuilder(0)
+	for i := 0; i < 4; i++ {
+		b.AddVertex(float64(i)*1000, 0)
+	}
+	b.AddEdge(0, 1, 1000)
+	b.AddEdge(2, 3, 1000)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := NewSharedDefault(func() sp.Oracle { return sp.NewDijkstra(g) }, g.N())
+
+	for _, pair := range [][2]roadnet.VertexID{{0, 2}, {2, 0}, {0, 2}} {
+		if d := o.Dist(pair[0], pair[1]); d != sp.Inf {
+			t.Fatalf("Dist(%d,%d) = %v, want +Inf", pair[0], pair[1], d)
+		}
+		if p := o.Path(pair[0], pair[1]); p != nil {
+			t.Fatalf("Path(%d,%d) = %v, want nil", pair[0], pair[1], p)
+		}
+	}
+	if p := o.Path(2, 3); len(p) != 2 || p[0] != 2 || p[1] != 3 {
+		t.Fatalf("Path(2,3) = %v, want [2 3]", p)
+	}
+	if d := o.Dist(1, 0); d != 1000 {
+		t.Fatalf("Dist(1,0) = %v, want 1000", d)
 	}
 }

@@ -254,7 +254,7 @@ func longHaulWorld(t *testing.T) *roadnet.Graph {
 func TestDrainLongSchedule(t *testing.T) {
 	line := longHaulWorld(t)
 	factory := func() sp.Oracle {
-		return cache.NewShared(func() sp.Oracle { return sp.NewBidirectional(line) }, line.N(), 1<<20, 1<<14, 0).NewWorker()
+		return cache.NewSharedDefault(func() sp.Oracle { return sp.NewBidirectional(line) }, line.N()).NewWorker()
 	}
 
 	run := func(roundCap int) (*Engine, error) {

@@ -13,15 +13,15 @@
 // flavours: fully private stacks built by an OracleFactory (each shard
 // re-learns every distance), or — preferred — per-shard facades over one
 // fleet-wide cache.Shared stack, so that every shard consults and feeds the
-// same concurrency-safe striped distance cache and a distance learned by
+// same concurrency-safe striped distance table and a distance learned by
 // one shard (d(pickup, dropoff), say) is a hit for all the others. Trials
 // reduce to the globally cheapest feasible candidate with deterministic
 // tie-breaking (cost, then vehicle ID), and the winner commits on its
 // owning shard. For a fixed seed the engine produces bit-identical match
-// assignments at any worker/shard count and under either cache layout,
+// assignments at any worker/shard count and with either flavour,
 // because every partition drives the same sim.Worker primitives over the
-// same seed-determined fleet and exact distances do not depend on which
-// cache served them; the equivalence tests hold it to an independent naive
+// same seed-determined fleet and exact distances do not depend on who
+// computed them; the equivalence tests hold it to an independent naive
 // matcher (reference_test.go).
 //
 // A batch-window mode (Config.BatchWindow) collects requests for a fixed

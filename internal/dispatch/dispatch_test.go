@@ -24,7 +24,7 @@ func testWorld(t testing.TB, trips int) (*roadnet.Graph, OracleFactory, []sim.Re
 		t.Fatalf("grid: %v", err)
 	}
 	factory := func() sp.Oracle {
-		return cache.NewShared(func() sp.Oracle { return sp.NewBidirectional(g) }, g.N(), 1<<20, 1<<14, 0).NewWorker()
+		return cache.NewSharedDefault(func() sp.Oracle { return sp.NewBidirectional(g) }, g.N()).NewWorker()
 	}
 	reqs := make([]sim.Request, 0, trips)
 	nv := int32(g.N())
@@ -192,9 +192,7 @@ func TestSharedCacheEquivalence(t *testing.T) {
 		var e *Engine
 		var err error
 		if shared {
-			cfg.Oracle = cache.NewShared(func() sp.Oracle {
-				return sp.NewBidirectional(g)
-			}, g.N(), 1<<20, 1<<14, 8)
+			cfg.Oracle = cache.NewSharedDefault(func() sp.Oracle { return sp.NewBidirectional(g) }, g.N())
 			e, err = New(cfg, nil)
 		} else {
 			e, err = New(cfg, factory)

@@ -77,21 +77,6 @@ func BuildWorld(opt WorldOptions) (*World, error) {
 	return &World{Graph: g, Requests: reqs, Scale: opt.Scale, seed: opt.Seed}, nil
 }
 
-// Spec returns the pipeline spec every experiment run starts from: the
-// paper's stack (bidirectional Dijkstra behind the two LRU caches), built
-// fresh per run so wall-clock measurements are not skewed by cache state
-// left behind by a previous run.
-func (w *World) Spec() pipeline.Spec {
-	s := pipeline.Default()
-	// Cache sizes follow the paper (10M distances / 10K paths) but are
-	// scaled down with the world to keep small runs lightweight.
-	s.DistCache = int(float64(s.DistCache) * w.Scale)
-	if s.DistCache < 1<<18 {
-		s.DistCache = 1 << 18
-	}
-	return s
-}
-
 // ScaleCount scales a paper-sized fleet or trip count to this world,
 // keeping at least min.
 func (w *World) ScaleCount(paperCount, min int) int {
@@ -169,7 +154,7 @@ func (h *Harness) Run(p RunParams) (*sim.Metrics, error) {
 	if h.MaxRequests > 0 && len(reqs) > h.MaxRequests {
 		reqs = reqs[:h.MaxRequests]
 	}
-	spec := h.World.Spec()
+	spec := pipeline.Default()
 	spec.Algo = p.Algo.String()
 	spec.Servers = p.Servers
 	spec.Capacity = p.Capacity

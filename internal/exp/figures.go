@@ -271,7 +271,7 @@ func (h *Harness) Fig9cStress() (*Table, error) {
 		Columns: []string{"algorithm", "ACRT", "over-budget trials", "max tree nodes", "matched"},
 	}
 	for _, a := range TreeAlgos {
-		spec := h.World.Spec()
+		spec := pipeline.Default()
 		spec.Algo = a.String()
 		spec.Servers = 3
 		spec.Capacity = 0 // unlimited
@@ -472,7 +472,7 @@ func (h *Harness) ServiceRate() (*Table, error) {
 // OracleAblation compares end-to-end matching cost across every oracle
 // stack the pipeline can assemble (pipeline.OracleNames) at the tree
 // defaults: the on-demand searches, the preprocessed indexes, and the
-// paper's design of a search engine behind the dual LRU caches. It
+// paper's design of a search engine behind an LRU distance cache. It
 // quantifies why §VI invests in hub labels and caching: the matcher issues
 // millions of distance queries.
 func (h *Harness) OracleAblation() (*Table, error) {
@@ -488,7 +488,7 @@ func (h *Harness) OracleAblation() (*Table, error) {
 		Columns: []string{"oracle", "ACRT", "run wall time"},
 	}
 	for _, oracle := range pipeline.OracleNames() {
-		spec := h.World.Spec()
+		spec := pipeline.Default()
 		spec.Oracle = oracle
 		spec.Algo = base.Algo.String()
 		spec.Servers = base.Servers

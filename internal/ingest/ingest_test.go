@@ -28,7 +28,7 @@ func testWorld(t testing.TB, trips int) (*roadnet.Graph, dispatch.OracleFactory,
 		t.Fatalf("grid: %v", err)
 	}
 	factory := func() sp.Oracle {
-		return cache.NewShared(func() sp.Oracle { return sp.NewBidirectional(g) }, g.N(), 1<<20, 1<<14, 0).NewWorker()
+		return cache.NewSharedDefault(func() sp.Oracle { return sp.NewBidirectional(g) }, g.N()).NewWorker()
 	}
 	reqs := make([]sim.Request, 0, trips)
 	nv := int32(g.N())

@@ -10,9 +10,10 @@
 //     preprocessing it has runs once per pipeline; every shard then gets
 //     its own search state over that one index (or, for hublabels, the one
 //     concurrency-safe index itself).
-//  2. A "+lru" name puts one fleet-wide cache.Shared in front, each shard
-//     holding its own facade, so a distance learned by one shard is a hit
-//     for all the others.
+//  2. A "+lru" name puts one fleet-wide cache.Shared in front — a distance
+//     table bounded at the paper's ten million entries, with nothing to
+//     size — each shard holding its own facade, so a distance learned by
+//     one shard is a hit for all the others.
 //  3. Under a fault plan the injector gets the tracer before any hook is
 //     handed out (so injected latency shows up as overlay spans), and the
 //     flaky/retry wrap sits above the cache: a degraded answer is returned
@@ -52,10 +53,7 @@ type Spec struct {
 	Theta float64 // -theta: hotspot radius in meters (ktree-hotspot)
 	Lazy  bool    // -lazy: lazy tree invalidation (paper §IV-A)
 
-	Oracle       string // -oracle: an OracleNames entry
-	DistCache    int    // -dist-cache: shared distance-cache entries ("+lru" backends)
-	PathCache    int    // -path-cache: per-shard path-cache entries ("+lru" backends)
-	CacheStripes int    // -cache-stripes: distance-cache stripes, 0 = default
+	Oracle string // -oracle: an OracleNames entry
 
 	Workers  int     // -workers: trial worker pool, 0 = 1 (shards run inline)
 	Shards   int     // -shards: fleet partitions, 0 = one per worker
@@ -73,12 +71,11 @@ type Spec struct {
 
 // Default is ridesim's flag defaults: the paper's operating point (10 min /
 // 20 %, capacity 4, slack-time kinetic tree) over bidirectional Dijkstra
-// behind the paper-sized LRU caches, one worker, no gateway, no faults.
+// behind the shared distance table, one worker, no gateway, no faults.
 func Default() Spec {
 	return Spec{
 		Servers: 200, Capacity: 4, WaitMinutes: 10, EpsPercent: 20, Seed: 1,
-		Algo: sim.AlgoTreeSlack.String(), Theta: 300,
-		Oracle: "bidij+lru", DistCache: cache.DefaultDistEntries, PathCache: cache.DefaultPathEntries,
+		Algo: sim.AlgoTreeSlack.String(), Theta: 300, Oracle: "bidij+lru",
 		QueueDepth: 256, ShedPolicy: ingest.Block.String(), SLO: 500 * time.Millisecond, SLOObjective: 0.99,
 	}
 }
@@ -233,7 +230,7 @@ func Build(g *roadnet.Graph, spec Spec, hooks Hooks) (*Pipeline, error) {
 
 	shardOracle := r.oracle.backend(g)
 	if r.oracle.cached {
-		p.shared = cache.NewShared(shardOracle, g.N(), spec.DistCache, spec.PathCache, spec.CacheStripes)
+		p.shared = cache.NewSharedDefault(shardOracle, g.N())
 		shardOracle = p.shared.NewWorkerOracle
 	}
 	factory := shardOracle

@@ -29,13 +29,11 @@ func testWorld(t *testing.T, trips int) (*roadnet.Graph, []sim.Request) {
 	return g, reqs
 }
 
-// smallSpec is Default shrunk to the test world: a 20-vehicle fleet and
-// caches that do not pre-size ten million entries.
+// smallSpec is Default shrunk to the test world: a 20-vehicle fleet.
 func smallSpec() Spec {
 	s := Default()
 	s.Servers = 20
 	s.Seed = 42
-	s.DistCache, s.PathCache = 1<<16, 1<<10
 	return s
 }
 

@@ -81,10 +81,12 @@ type Metrics struct {
 	TotalVehicleMeters float64 // fleet distance traveled
 	TreeNodesMax       int     // largest committed kinetic tree observed
 
-	// Shortest-path cache counters (paper §VI: the two LRU caches), set
+	// Oracle-stack counters (paper §VI's distance LRU, cache.Shared), set
 	// from the engine's oracle stack when it exposes them — aggregated
 	// across all shards/workers for the dispatch engine. Zero everywhere
-	// when the oracle has no caches.
+	// when the oracle has no cache. There is no path cache: PathCacheHits
+	// is always 0 and PathCacheMisses counts the path searches the stack
+	// ran; both stay for the benchmark suite's layer model.
 	DistCacheHits   uint64
 	DistCacheMisses uint64
 	PathCacheHits   uint64
@@ -299,8 +301,10 @@ func (m *Metrics) IngressWaitP99() time.Duration {
 }
 
 // SetCacheStats overwrites the cache counters from an oracle stack's
-// cumulative counts. Set, not add: the counters are lifetime totals read
-// from the stack, so re-reading must stay idempotent.
+// cumulative counts (cache.Shared's DistStats and PathStats: pathHits is
+// always 0 there, pathMisses the path searches run). Set, not add: the
+// counters are lifetime totals read from the stack, so re-reading must
+// stay idempotent.
 func (m *Metrics) SetCacheStats(distHits, distMisses, pathHits, pathMisses uint64) {
 	m.DistCacheHits = distHits
 	m.DistCacheMisses = distMisses
@@ -320,12 +324,6 @@ func (m *Metrics) SetDistLatency(hit, miss *obs.Histogram) {
 // lookups.
 func (m *Metrics) DistCacheHitRate() float64 {
 	return hitRate(m.DistCacheHits, m.DistCacheMisses)
-}
-
-// PathCacheHitRate returns the path-cache hit rate, or 0 before any
-// lookups.
-func (m *Metrics) PathCacheHitRate() float64 {
-	return hitRate(m.PathCacheHits, m.PathCacheMisses)
 }
 
 func hitRate(hits, misses uint64) float64 {
@@ -407,9 +405,8 @@ type Snapshot struct {
 	DistCacheHits    uint64  `json:"dist_cache_hits"`
 	DistCacheMisses  uint64  `json:"dist_cache_misses"`
 	DistCacheHitRate float64 `json:"dist_cache_hit_rate"`
-	PathCacheHits    uint64  `json:"path_cache_hits"`
-	PathCacheMisses  uint64  `json:"path_cache_misses"`
-	PathCacheHitRate float64 `json:"path_cache_hit_rate"`
+	PathCacheHits    uint64  `json:"path_cache_hits"`   // always 0: there is no path cache
+	PathCacheMisses  uint64  `json:"path_cache_misses"` // path searches run
 
 	Admitted           int   `json:"admitted"`
 	ShedOverflow       int   `json:"shed_overflow"`
@@ -481,7 +478,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		DistCacheHitRate: m.DistCacheHitRate(),
 		PathCacheHits:    m.PathCacheHits,
 		PathCacheMisses:  m.PathCacheMisses,
-		PathCacheHitRate: m.PathCacheHitRate(),
 
 		Admitted:           m.Admitted,
 		ShedOverflow:       m.ShedOverflow,

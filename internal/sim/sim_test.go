@@ -19,5 +19,5 @@ func testSetup(t testing.TB) (*roadnet.Graph, sp.Oracle) {
 	if err != nil {
 		t.Fatalf("grid: %v", err)
 	}
-	return g, cache.NewShared(func() sp.Oracle { return sp.NewBidirectional(g) }, g.N(), 1<<20, 1<<14, 0).NewWorker()
+	return g, cache.NewSharedDefault(func() sp.Oracle { return sp.NewBidirectional(g) }, g.N()).NewWorker()
 }

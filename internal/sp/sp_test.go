@@ -1,6 +1,7 @@
 package sp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -31,6 +32,28 @@ var engineBuilders = map[string]func(*roadnet.Graph) Oracle{
 	"hublabels": func(g *roadnet.Graph) Oracle { return NewHubLabels(g) },
 }
 
+// suiteCity is the city all four benchmark-suite workloads run on
+// (benchmark/workloads.go): 3,715 vertices.
+func suiteCity(t testing.TB) *roadnet.Graph {
+	t.Helper()
+	g, err := roadnet.SyntheticCity(roadnet.CityOptions{Scale: 0.03, Seed: 17})
+	if err != nil {
+		t.Fatalf("city: %v", err)
+	}
+	return g
+}
+
+// differ is the cross-check tolerance, the one the suite's own oracle check
+// uses (benchmark/run.go): 1e-9 relative, so it means the same thing on a
+// 300 m grid edge and a 10 km city trip. Engines may sum a path's edges in
+// different orders, never answer differently.
+func differ(got, want float64) bool {
+	if got == want {
+		return false
+	}
+	return math.IsInf(want, 0) || math.Abs(got-want) > 1e-9*math.Max(math.Abs(want), 1)
+}
+
 // searchEngines builds every engine over g.
 func searchEngines(g *roadnet.Graph) map[string]Oracle {
 	engines := make(map[string]Oracle, len(engineBuilders))
@@ -44,7 +67,7 @@ func searchEngines(g *roadnet.Graph) map[string]Oracle {
 // its Path(u,v), against the reference distance.
 func checkPair(t *testing.T, g *roadnet.Graph, name string, e Oracle, u, v roadnet.VertexID, want float64) {
 	t.Helper()
-	if got := e.Dist(u, v); math.Abs(got-want) > 1e-6 {
+	if got := e.Dist(u, v); differ(got, want) {
 		t.Fatalf("%s.Dist(%d,%d) = %v, want %v", name, u, v, got, want)
 	}
 	p := e.Path(u, v)
@@ -57,7 +80,7 @@ func checkPair(t *testing.T, g *roadnet.Graph, name string, e Oracle, u, v roadn
 	if len(p) == 0 || p[0] != u || p[len(p)-1] != v {
 		t.Fatalf("%s.Path(%d,%d) endpoints wrong: %v", name, u, v, p)
 	}
-	if got := pathCost(g, p); math.Abs(got-want) > 1e-6 {
+	if got := pathCost(g, p); differ(got, want) {
 		t.Fatalf("%s.Path(%d,%d) walks to %v, want %v", name, u, v, got, want)
 	}
 }
@@ -83,29 +106,34 @@ func TestEnginesAgree(t *testing.T) {
 	}
 }
 
-// TestEnginesAgreeOnCity repeats the check on sampled pairs of a graph too
-// large for the matrix, against Dijkstra. The city is a grid with a fifth
-// of its edges dropped, so searches meet dead ends and detours the small
-// test grid does not have.
+// TestEnginesAgreeOnCity repeats the check on sampled pairs of graphs too
+// large for the matrix, against Dijkstra: the suite's city, where the
+// backends actually run, and a larger one. A city is a grid with a fifth of
+// its edges dropped, so searches meet dead ends and detours the small test
+// grid does not have.
 func TestEnginesAgreeOnCity(t *testing.T) {
-	g, err := roadnet.SyntheticCity(roadnet.CityOptions{Scale: 0.045, Seed: 31})
+	larger, err := roadnet.SyntheticCity(roadnet.CityOptions{Scale: 0.045, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.N() < 5000 {
-		t.Fatalf("city has %d vertices, want at least 5000", g.N())
+	if larger.N() < 5000 {
+		t.Fatalf("city has %d vertices, want at least 5000", larger.N())
 	}
 	type pair struct {
 		u, v roadnet.VertexID
 		want float64
 	}
-	ref := NewDijkstra(g)
-	rng := rand.New(rand.NewSource(32))
-	pairs := make([]pair, 2000)
-	for i := range pairs {
-		u := roadnet.VertexID(rng.Intn(g.N()))
-		v := roadnet.VertexID(rng.Intn(g.N()))
-		pairs[i] = pair{u, v, ref.Dist(u, v)}
+	cities := []*roadnet.Graph{suiteCity(t), larger}
+	pairs := make([][]pair, len(cities))
+	for c, g := range cities {
+		ref := NewDijkstra(g)
+		rng := rand.New(rand.NewSource(32))
+		pairs[c] = make([]pair, 2000)
+		for i := range pairs[c] {
+			u := roadnet.VertexID(rng.Intn(g.N()))
+			v := roadnet.VertexID(rng.Intn(g.N()))
+			pairs[c][i] = pair{u, v, ref.Dist(u, v)}
+		}
 	}
 	for name, build := range engineBuilders {
 		if name == "dijkstra" {
@@ -113,9 +141,11 @@ func TestEnginesAgreeOnCity(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel() // the index builds dominate; overlap them
-			e := build(g)
-			for _, p := range pairs {
-				checkPair(t, g, name, e, p.u, p.v, p.want)
+			for c, g := range cities {
+				e := build(g)
+				for _, p := range pairs[c] {
+					checkPair(t, g, name, e, p.u, p.v, p.want)
+				}
 			}
 		})
 	}
@@ -284,24 +314,29 @@ func TestALTLandmarkCount(t *testing.T) {
 	}
 }
 
-// benchDist times random-pair Dist queries on the test grid; every engine
-// sees the same pair stream. The last answer is checked against Dijkstra,
-// so an engine that stops answering fails even a smoke run.
+// benchDist times random-pair Dist queries on the test grid and on the
+// suite's city, where the ranking is the one the system sees; every engine
+// sees the same pair stream, and its index is built outside the timer.
+// The last answer is checked against Dijkstra, so an engine that stops
+// answering fails even a smoke run.
 func benchDist(b *testing.B, engine string) {
-	g := testGraph(b, 20)
-	e := engineBuilders[engine](g)
-	rng := rand.New(rand.NewSource(21))
-	var u, v roadnet.VertexID
-	var last float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u = roadnet.VertexID(rng.Intn(g.N()))
-		v = roadnet.VertexID(rng.Intn(g.N()))
-		last = e.Dist(u, v)
-	}
-	b.StopTimer()
-	if want := NewDijkstra(g).Dist(u, v); math.Abs(last-want) > 1e-6 {
-		b.Fatalf("Dist(%d,%d) = %v, Dijkstra says %v", u, v, last, want)
+	for _, g := range []*roadnet.Graph{testGraph(b, 20), suiteCity(b)} {
+		e := engineBuilders[engine](g)
+		b.Run(fmt.Sprintf("vertices=%d", g.N()), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(21))
+			var u, v roadnet.VertexID
+			var last float64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				u = roadnet.VertexID(rng.Intn(g.N()))
+				v = roadnet.VertexID(rng.Intn(g.N()))
+				last = e.Dist(u, v)
+			}
+			b.StopTimer()
+			if want := NewDijkstra(g).Dist(u, v); differ(last, want) {
+				b.Fatalf("Dist(%d,%d) = %v, Dijkstra says %v", u, v, last, want)
+			}
+		})
 	}
 }
 
