@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -53,6 +55,8 @@ func run(scale float64, expList string, trips, maxRequests int, seed int64, outP
 		vlog = os.Stderr
 	}
 
+	fmt.Fprintf(out, "# experiments -exp %s -scale %g -trips %d -max-requests %d -seed %d\n# git %s, %s %s/%s, GOMAXPROCS=%d\n",
+		expList, scale, trips, maxRequests, seed, revision(), runtime.Version(), runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0))
 	start := time.Now()
 	world, err := exp.BuildWorld(exp.WorldOptions{Scale: scale, Trips: trips, Seed: seed})
 	if err != nil {
@@ -90,4 +94,20 @@ func run(scale float64, expList string, trips, maxRequests int, seed int64, outP
 		}
 	}
 	return nil
+}
+
+// revision is the git commit go build stamped into the binary ("-dirty"
+// for a tree with uncommitted changes); go run stamps none.
+func revision() string {
+	rev, dirty := "unknown", ""
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "vcs.revision" {
+				rev = s.Value
+			} else if s.Key == "vcs.modified" && s.Value == "true" {
+				dirty = "-dirty"
+			}
+		}
+	}
+	return rev + dirty
 }

@@ -1,7 +1,7 @@
 // Command ridesim runs one ridesharing simulation and prints its metrics.
 //
 //	ridesim -scale 0.02 -servers 200 -algo ktree-slack -capacity 6
-//	ridesim -graph city.bin -trips trips.csv -algo branchbound
+//	ridesim -graph city.bin -trips trips.csv -algo ktree-hotspot
 //	ridesim -scale 0.02 -servers 2000 -workers 8 -batch 10
 //	ridesim -scale 0.02 -servers 2000 -workers 4 -producers 8 -arrival surge
 //
@@ -88,7 +88,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&s.Capacity, "capacity", s.Capacity, "vehicle capacity (0 = unlimited)")
 	fs.Float64Var(&s.WaitMinutes, "wait", s.WaitMinutes, "waiting-time constraint in minutes")
 	fs.Float64Var(&s.EpsPercent, "eps", s.EpsPercent, "service constraint in percent extra ride")
-	fs.StringVar(&s.Algo, "algo", s.Algo, "matching algorithm: ktree, ktree-slack, ktree-hotspot, bruteforce, branchbound, mip")
+	fs.StringVar(&s.Algo, "algo", s.Algo, "kinetic-tree variant: ktree, ktree-slack, ktree-hotspot")
 	fs.Float64Var(&s.Theta, "theta", s.Theta, "hotspot radius in meters (ktree-hotspot)")
 	fs.BoolVar(&s.Lazy, "lazy", s.Lazy, "use lazy tree invalidation (paper §IV-A)")
 	fs.StringVar(&s.Oracle, "oracle", s.Oracle, "shortest-path backend: "+strings.Join(pipeline.OracleNames(), ", "))

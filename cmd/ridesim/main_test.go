@@ -141,6 +141,7 @@ func TestBadFlagsFailBeforeAnyWork(t *testing.T) {
 		wantErr string
 	}{
 		{[]string{"-oracle", "no-such-value"}, "no-such-value"},
+		{[]string{"-algo", "branchbound"}, `unknown algorithm "branchbound"`},
 		{[]string{"-wait", "0"}, "-wait must be positive"},
 		{[]string{"-eps", "0"}, "-eps must be positive"},
 		{[]string{"-arrival", "no-such-value"}, "no-such-value"},

@@ -52,14 +52,11 @@ func (q *bbQueue) Pop() any {
 
 // Schedule implements Scheduler.
 func (b *BranchBound) Schedule(inst *Instance) Result {
-	g, ok := newStopGraph(inst, b.oracle)
-	if !ok || len(g.stops) > MaxStops {
-		return Result{}
+	g, res := newStopGraph(inst, b.oracle)
+	if g == nil {
+		return res
 	}
 	ns := len(g.stops)
-	if ns == 0 {
-		return Result{OK: true, Exact: true}
-	}
 	w := newWalker(inst, b.oracle)
 
 	remainingBound := func(used uint64) float64 {
@@ -105,11 +102,8 @@ func (b *BranchBound) Schedule(inst *Instance) Result {
 				continue
 			}
 			stop := g.stops[si]
-			if stop.Kind == Dropoff && !inst.Trips[stop.Trip].OnBoard && w.pickAt[stop.Trip] < 0 {
-				continue
-			}
 			nat := node.at + g.dist[node.last][si+1]
-			if !w.feasibleAt(stop, nat) {
+			if !w.feasibleAt(stop, nat) { // deadlines, capacity and precedence
 				continue
 			}
 			used := node.used | (1 << uint(si))
@@ -126,9 +120,5 @@ func (b *BranchBound) Schedule(inst *Instance) Result {
 	if math.IsInf(best, 1) {
 		return Result{}
 	}
-	order := make([]Stop, len(bestSeq))
-	for i, si := range bestSeq {
-		order[i] = g.stops[si]
-	}
-	return Result{OK: true, Cost: best - inst.Odo, Order: order, Exact: true}
+	return g.result(bestSeq, best-inst.Odo)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sort"
 
 	"repro/internal/sp"
 )
@@ -29,65 +30,78 @@ const MaxStops = 64
 
 // Schedule implements Scheduler.
 func (b *BruteForce) Schedule(inst *Instance) Result {
-	g, ok := newStopGraph(inst, b.oracle)
-	if !ok || len(g.stops) > MaxStops {
-		return Result{}
+	g, res := newStopGraph(inst, b.oracle)
+	if g == nil {
+		return res
 	}
-	if len(g.stops) == 0 {
-		return Result{OK: true, Exact: true, Order: nil, Cost: 0}
-	}
-	s := bfSearch{g: g, w: newWalker(inst, b.oracle), best: math.Inf(1)}
-	s.used = make([]bool, len(g.stops))
-	s.seq = make([]int, 0, len(g.stops))
+	s := newBFSearch(g, b.oracle, false)
 	s.rec(0, inst.Odo)
 	if math.IsInf(s.best, 1) {
 		return Result{}
 	}
-	order := make([]Stop, len(s.bestSeq))
-	for i, si := range s.bestSeq {
-		order[i] = g.stops[si]
-	}
-	return Result{OK: true, Cost: s.best - inst.Odo, Order: order, Exact: true}
+	return g.result(s.bestSeq, s.best-inst.Odo)
 }
 
+// bfSearch walks stop permutations depth first, abandoning a prefix as soon
+// as its last stop violates a constraint, and keeps the cheapest complete
+// schedule. With nearestFirst it tries the closest stop first and stops at
+// the first complete schedule instead: the MIP scheduler's warm start.
 type bfSearch struct {
-	g       *stopGraph
-	w       *walker
-	used    []bool
-	seq     []int
-	best    float64 // best complete arrival odometer
-	bestSeq []int
+	g            *stopGraph
+	w            *walker
+	used         []bool
+	seq          []int
+	best         float64 // best complete arrival odometer
+	bestSeq      []int
+	nearestFirst bool
+}
+
+func newBFSearch(g *stopGraph, oracle sp.Oracle, nearestFirst bool) *bfSearch {
+	return &bfSearch{g: g, w: newWalker(g.inst, oracle), used: make([]bool, len(g.stops)),
+		seq: make([]int, 0, len(g.stops)), best: math.Inf(1), nearestFirst: nearestFirst}
 }
 
 // rec extends the permutation from graph point `last` (0 = origin) at
-// absolute odometer `at`.
-func (s *bfSearch) rec(last int, at float64) {
+// absolute odometer `at`, and reports whether the search is done.
+func (s *bfSearch) rec(last int, at float64) bool {
 	if len(s.seq) == len(s.g.stops) {
 		if at < s.best {
 			s.best = at
 			s.bestSeq = append(s.bestSeq[:0], s.seq...)
 		}
-		return
+		return s.nearestFirst
 	}
-	for si := range s.g.stops {
+	var nearest []int // stop indices by distance from last, nearestFirst only
+	if s.nearestFirst {
+		nearest = make([]int, len(s.g.stops))
+		for i := range nearest {
+			nearest[i] = i
+		}
+		sort.Slice(nearest, func(a, b int) bool { return s.g.dist[last][nearest[a]+1] < s.g.dist[last][nearest[b]+1] })
+	}
+	for i := range s.g.stops {
+		si := i
+		if nearest != nil {
+			si = nearest[i]
+		}
 		if s.used[si] {
 			continue
 		}
 		stop := s.g.stops[si]
-		// Precedence: a waiting trip's dropoff needs its pickup first.
-		if stop.Kind == Dropoff && !s.g.inst.Trips[stop.Trip].OnBoard && s.w.pickAt[stop.Trip] < 0 {
-			continue
-		}
 		nat := at + s.g.dist[last][si+1]
-		if !s.w.feasibleAt(stop, nat) {
+		if !s.w.feasibleAt(stop, nat) { // deadlines, capacity and precedence
 			continue
 		}
 		s.used[si] = true
 		s.seq = append(s.seq, si)
 		s.w.noteVisit(stop, nat)
-		s.rec(si+1, nat)
+		done := s.rec(si+1, nat)
 		s.w.unnoteVisit(stop)
 		s.seq = s.seq[:len(s.seq)-1]
 		s.used[si] = false
+		if done {
+			return true
+		}
 	}
+	return false
 }

@@ -168,9 +168,6 @@ func (t *Tree) OnBoard() int {
 	return n
 }
 
-// Trip returns the state of trip slot i.
-func (t *Tree) Trip(i int) TripState { return t.trips[i] }
-
 // ActiveTripStates appends copies of the accepted, uncompleted trips in
 // slot order to out and returns the extended slice; used to reconstruct
 // the equivalent rescheduling instance. Passing a recycled buffer makes

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/mip"
@@ -40,77 +39,16 @@ func NewMIPScheduler(oracle sp.Oracle, maxNodes int) *MIPScheduler {
 // false). Zero disables the bound.
 func (m *MIPScheduler) SetTimeBudget(d time.Duration) { m.timeBudget = d }
 
-// greedyWarmStart finds some valid schedule quickly with deadline-ordered,
-// nearest-first DFS: it primes the branch & bound incumbent the way
-// commercial solvers seed theirs with construction heuristics, which is
-// what makes the bound prune effectively on loosely constrained instances.
-func greedyWarmStart(inst *Instance, g *stopGraph, oracle sp.Oracle) (float64, []int, bool) {
-	ns := len(g.stops)
-	w := newWalker(inst, oracle)
-	used := make([]bool, ns)
-	seq := make([]int, 0, ns)
-	order := make([]int, ns) // scratch for sorting candidates per level
-	var rec func(last int, at float64) bool
-	rec = func(last int, at float64) bool {
-		if len(seq) == ns {
-			return true
-		}
-		// Candidates sorted by distance from the current point.
-		cands := order[:0]
-		for si := 0; si < ns; si++ {
-			if !used[si] {
-				cands = append(cands, si)
-			}
-		}
-		sort.Slice(cands, func(a, b int) bool {
-			return g.dist[last][cands[a]+1] < g.dist[last][cands[b]+1]
-		})
-		for _, si := range cands {
-			stop := g.stops[si]
-			if stop.Kind == Dropoff && !inst.Trips[stop.Trip].OnBoard && w.pickAt[stop.Trip] < 0 {
-				continue
-			}
-			nat := at + g.dist[last][si+1]
-			if !w.feasibleAt(stop, nat) {
-				continue
-			}
-			used[si] = true
-			seq = append(seq, si)
-			w.noteVisit(stop, nat)
-			if rec(si+1, nat) {
-				return true
-			}
-			w.unnoteVisit(stop)
-			seq = seq[:len(seq)-1]
-			used[si] = false
-		}
-		return false
-	}
-	if !rec(0, inst.Odo) {
-		return 0, nil, false
-	}
-	cost := 0.0
-	last := 0
-	for _, si := range seq {
-		cost += g.dist[last][si+1]
-		last = si + 1
-	}
-	return cost, append([]int(nil), seq...), true
-}
-
 // Name implements Scheduler.
 func (m *MIPScheduler) Name() string { return "mip" }
 
 // Schedule implements Scheduler.
 func (m *MIPScheduler) Schedule(inst *Instance) Result {
-	g, ok := newStopGraph(inst, m.oracle)
-	if !ok || len(g.stops) > MaxStops {
-		return Result{}
+	g, res := newStopGraph(inst, m.oracle)
+	if g == nil {
+		return res
 	}
 	ns := len(g.stops)
-	if ns == 0 {
-		return Result{OK: true, Exact: true}
-	}
 
 	// Node layout: 0 = origin, then the stops in stopGraph order (their
 	// graph index is already si+1). Classify each node.
@@ -373,10 +311,15 @@ func (m *MIPScheduler) Schedule(inst *Instance) Result {
 		}
 	}
 
-	// Warm start: a greedy feasible schedule primes the incumbent so the
-	// bound prunes, and guarantees a valid answer even if the search is
-	// truncated by the node or time budget.
-	warmCost, warmSeq, warmOK := greedyWarmStart(inst, g, m.oracle)
+	// Warm start: a nearest-first depth-first search finds some valid
+	// schedule quickly. It primes the branch & bound incumbent the way
+	// commercial solvers seed theirs with construction heuristics, which is
+	// what makes the bound prune on loosely constrained instances, and it
+	// guarantees a valid answer even if the search is truncated by the node
+	// or time budget.
+	warm := newBFSearch(g, m.oracle, true)
+	warmOK := warm.rec(0, inst.Odo)
+	warmCost := warm.best - inst.Odo
 	opts := mip.SolveOptions{MaxNodes: m.maxNodes}
 	if warmOK {
 		opts.InitialBound = warmCost + 1e-6
@@ -392,12 +335,9 @@ func (m *MIPScheduler) Schedule(inst *Instance) Result {
 			// means "no solution below the initial bound"), the greedy
 			// schedule is proven optimal; on truncation it is just the
 			// best known.
-			order := make([]Stop, len(warmSeq))
-			for i, si := range warmSeq {
-				order[i] = g.stops[si]
-			}
-			proven := err == nil && sol != nil && sol.Status == mip.Infeasible
-			return Result{OK: true, Cost: warmCost, Order: order, Exact: proven}
+			res := g.result(warm.bestSeq, warmCost)
+			res.Exact = err == nil && sol != nil && sol.Status == mip.Infeasible
+			return res
 		}
 		return Result{}
 	}

@@ -19,10 +19,19 @@ type stopGraph struct {
 	minIncident []float64
 }
 
-func newStopGraph(inst *Instance, oracle sp.Oracle) (*stopGraph, bool) {
+// newStopGraph resolves inst's stop graph. A nil graph means res is already
+// the whole answer: infeasible (a stop unreachable, or more than MaxStops of
+// them) or, with no stop pending, the empty schedule.
+func newStopGraph(inst *Instance, oracle sp.Oracle) (g *stopGraph, res Result) {
 	stops := inst.PendingStops()
+	switch {
+	case len(stops) > MaxStops:
+		return nil, Result{}
+	case len(stops) == 0:
+		return nil, Result{OK: true, Exact: true}
+	}
 	n := len(stops) + 1
-	g := &stopGraph{inst: inst, stops: stops, n: n}
+	g = &stopGraph{inst: inst, stops: stops, n: n}
 	g.dist = make([][]float64, n)
 	verts := make([]int32, n)
 	verts[0] = inst.Origin
@@ -37,7 +46,7 @@ func newStopGraph(inst *Instance, oracle sp.Oracle) (*stopGraph, bool) {
 			}
 			d := oracle.Dist(verts[i], verts[j])
 			if d == sp.Inf {
-				return nil, false
+				return nil, Result{}
 			}
 			g.dist[i][j] = d
 		}
@@ -55,7 +64,17 @@ func newStopGraph(inst *Instance, oracle sp.Oracle) (*stopGraph, bool) {
 		}
 		g.minIncident[i] = min
 	}
-	return g, true
+	return g, Result{}
+}
+
+// result is the exact schedule visiting the stops in seq order at the given
+// total cost.
+func (g *stopGraph) result(seq []int, cost float64) Result {
+	order := make([]Stop, len(seq))
+	for i, si := range seq {
+		order[i] = g.stops[si]
+	}
+	return Result{OK: true, Cost: cost, Order: order, Exact: true}
 }
 
 // pickupIndex returns, for the stop at index si (0-based into stops), the

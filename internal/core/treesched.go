@@ -36,14 +36,33 @@ func (s *TreeScheduler) Name() string {
 
 // Schedule implements Scheduler.
 func (s *TreeScheduler) Schedule(inst *Instance) Result {
+	tree, perm, ok := s.Build(inst)
+	if !ok {
+		return Result{}
+	}
+	cost, order, ok := tree.Best()
+	if !ok {
+		// No trips pending: the empty schedule is trivially optimal.
+		return Result{OK: true, Exact: true}
+	}
+	// Map tree-internal trip slots back to instance indices.
+	for i := range order {
+		order[i].Trip = perm[order[i].Trip]
+	}
+	return Result{OK: true, Cost: cost, Order: order, Exact: s.opts.HotspotTheta == 0}
+}
+
+// Build grows a fresh tree for the instance by inserting its trips one at a
+// time, onboard trips first: they raise the vehicle's base load, which the
+// capacity checks of subsequently inserted pickups must observe (in the live
+// system passengers board strictly before later requests arrive, so this is
+// the only order that occurs). perm maps tree trip slots to instance
+// indices. ok is false when some trip has no valid insertion.
+func (s *TreeScheduler) Build(inst *Instance) (tree *Tree, perm []int, ok bool) {
 	opts := s.opts
 	opts.Capacity = inst.Capacity
-	tree := NewTree(s.oracle, inst.Origin, inst.Odo, opts)
-	// Insert onboard trips first: they raise the vehicle's base load, which
-	// the capacity checks of subsequently inserted pickups must observe
-	// (in the live system passengers board strictly before later requests
-	// arrive, so this is the only order that occurs).
-	perm := make([]int, 0, len(inst.Trips)) // tree slot -> instance index
+	tree = NewTree(s.oracle, inst.Origin, inst.Odo, opts)
+	perm = make([]int, 0, len(inst.Trips))
 	for i := range inst.Trips {
 		if inst.Trips[i].OnBoard {
 			perm = append(perm, i)
@@ -57,18 +76,9 @@ func (s *TreeScheduler) Schedule(inst *Instance) Result {
 	for _, i := range perm {
 		cand, ok, err := tree.TrialInsert(inst.Trips[i])
 		if err != nil || !ok {
-			return Result{}
+			return nil, nil, false
 		}
 		tree.Commit(cand)
 	}
-	cost, order, ok := tree.Best()
-	if !ok {
-		// No trips pending: the empty schedule is trivially optimal.
-		return Result{OK: true, Exact: true}
-	}
-	// Map tree-internal trip slots back to instance indices.
-	for i := range order {
-		order[i].Trip = perm[order[i].Trip]
-	}
-	return Result{OK: true, Cost: cost, Order: order, Exact: opts.HotspotTheta == 0}
+	return tree, perm, true
 }

@@ -189,6 +189,9 @@ func New(cfg sim.Config, oracles OracleFactory) (*Engine, error) {
 	if cfg.Servers <= 0 {
 		return nil, fmt.Errorf("dispatch: need at least one server, got %d", cfg.Servers)
 	}
+	if cfg.Algorithm < sim.AlgoTreeBasic || cfg.Algorithm > sim.AlgoTreeHotspot {
+		return nil, fmt.Errorf("dispatch: %v is not a kinetic-tree variant", cfg.Algorithm)
+	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = 1

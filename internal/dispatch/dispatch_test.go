@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/roadnet"
 	"repro/internal/sim"
@@ -120,33 +124,48 @@ func compareMetrics(t *testing.T, label string, seq, got *sim.Metrics) {
 // TestSequentialEquivalence: for a fixed seed, the engine must produce the
 // identical per-request vehicle assignments and metrics as the naive
 // reference matcher (reference_test.go), at every worker/shard
-// combination, for both a kinetic-tree and a stateless algorithm.
+// combination. The branchbound case also captures every trial's instance
+// (sim.Config.Capture) and replays them through core.BranchBound: the
+// baseline's per-request results must not depend on the worker/shard
+// layout either, so the replayed figures in internal/exp do not.
 func TestSequentialEquivalence(t *testing.T) {
 	cases := []struct {
-		algo  sim.Algorithm
-		trips int
+		name   string
+		algo   sim.Algorithm
+		trips  int
+		replay bool
 	}{
-		{sim.AlgoTreeSlack, 120},
-		{sim.AlgoBranchBound, 60},
+		{sim.AlgoTreeSlack.String(), sim.AlgoTreeSlack, 120, false},
+		{"branchbound", sim.AlgoTreeSlack, 60, true},
 	}
 	grids := []struct{ workers, shards int }{
 		{1, 1}, {4, 4}, {8, 8}, {2, 5}, {4, 8},
 	}
 	for _, tc := range cases {
-		t.Run(tc.algo.String(), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			g, factory, reqs := testWorld(t, tc.trips)
 
-			seq := newRefMatcher(t, baseConfig(g, factory, tc.algo))
+			var seqInsts captured
+			cfg := baseConfig(g, factory, tc.algo)
+			if tc.replay {
+				cfg.Capture = seqInsts.add
+			}
+			seq := newRefMatcher(t, cfg)
 			want := seq.assignments(reqs)
 			seq.Drain()
 			if err := seq.CheckInvariants(); err != nil {
 				t.Fatalf("reference invariants: %v", err)
 			}
+			wantBB := branchBoundCosts(factory(), seqInsts.insts)
 
 			for _, wc := range grids {
+				var insts captured
 				cfg := baseConfig(g, factory, tc.algo)
 				cfg.Workers = wc.workers
 				cfg.Shards = wc.shards
+				if tc.replay {
+					cfg.Capture = insts.add
+				}
 				e, err := New(cfg, factory)
 				if err != nil {
 					t.Fatal(err)
@@ -167,9 +186,55 @@ func TestSequentialEquivalence(t *testing.T) {
 				}
 				compareMetrics(t, algoLabel(tc.algo, wc.workers, wc.shards), seq.metrics, e.Metrics())
 				e.Close()
+				if !tc.replay {
+					continue
+				}
+				got := branchBoundCosts(factory(), insts.insts)
+				if len(got) != len(wantBB) || len(got) == 0 {
+					t.Fatalf("workers=%d shards=%d: %d requests captured, reference %d", wc.workers, wc.shards, len(got), len(wantBB))
+				}
+				for id, ws := range wantBB {
+					if gs := got[id]; !slices.Equal(gs, ws) {
+						t.Fatalf("workers=%d shards=%d: request %d replays to branchbound costs %v, reference %v",
+							wc.workers, wc.shards, id, gs, ws)
+					}
+				}
 			}
 		})
 	}
+}
+
+// captured collects sim.Config.Capture instances; Capture runs on the
+// trialing goroutine, so add is safe to call from several workers.
+type captured struct {
+	mu    sync.Mutex
+	insts []*core.Instance
+}
+
+func (c *captured) add(in *core.Instance) {
+	c.mu.Lock()
+	c.insts = append(c.insts, in)
+	c.mu.Unlock()
+}
+
+// branchBoundCosts schedules every captured instance with core.BranchBound
+// and returns, per submitting request (the instance's last trip), the
+// ascending optimal costs, +Inf where the instance is infeasible.
+func branchBoundCosts(o sp.Oracle, insts []*core.Instance) map[int64][]float64 {
+	bb := core.NewBranchBound(o)
+	out := map[int64][]float64{}
+	for _, in := range insts {
+		c := math.Inf(1)
+		if res := bb.Schedule(in); res.OK {
+			c = res.Cost
+		}
+		id := in.Trips[len(in.Trips)-1].ID
+		out[id] = append(out[id], c)
+	}
+	for _, cs := range out {
+		slices.Sort(cs)
+	}
+	return out
 }
 
 func algoLabel(a sim.Algorithm, workers, shards int) string {
@@ -413,6 +478,10 @@ func TestNewValidation(t *testing.T) {
 	bad.Graph = nil
 	if _, err := New(bad, factory); err == nil {
 		t.Fatal("missing graph must be rejected")
+	}
+	bad = baseConfig(g, factory, sim.Algorithm(9))
+	if _, err := New(bad, factory); err == nil || !strings.Contains(err.Error(), "Algorithm(9)") {
+		t.Fatalf("an algorithm outside the tree variants must be rejected by name, got %v", err)
 	}
 }
 

@@ -4,8 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/roadnet"
 	"repro/internal/sim"
+	"repro/internal/sp"
 )
 
 // newEngine builds a default (one worker, one shard, inline) engine over
@@ -35,22 +37,14 @@ func runEngine(t *testing.T, cfg sim.Config, reqs []sim.Request) *sim.Metrics {
 	return m
 }
 
-// TestSimulationAllAlgorithms runs the same workload through every matching
-// algorithm and checks the service-guarantee invariants hold throughout.
+// TestSimulationAllAlgorithms runs the same workload through every
+// kinetic-tree variant and checks the service-guarantee invariants hold
+// throughout.
 func TestSimulationAllAlgorithms(t *testing.T) {
 	g, factory, reqs := testWorld(t, 120)
-	for _, algo := range []sim.Algorithm{
-		sim.AlgoTreeBasic, sim.AlgoTreeSlack, sim.AlgoTreeHotspot,
-		sim.AlgoBruteForce, sim.AlgoBranchBound, sim.AlgoMIP,
-	} {
+	for _, algo := range []sim.Algorithm{sim.AlgoTreeBasic, sim.AlgoTreeSlack, sim.AlgoTreeHotspot} {
 		t.Run(algo.String(), func(t *testing.T) {
-			cfg := baseConfig(g, factory, algo)
-			cfg.MIPMaxNodes = 3000 // bound pathological MIP instances
-			reqs := reqs
-			if algo == sim.AlgoMIP {
-				reqs = reqs[:mipRequests]
-			}
-			m := runEngine(t, cfg, reqs)
+			m := runEngine(t, baseConfig(g, factory, algo), reqs)
 			if m.Requests != len(reqs) {
 				t.Fatalf("requests: got %d want %d", m.Requests, len(reqs))
 			}
@@ -89,28 +83,67 @@ func TestSimulationDeterminism(t *testing.T) {
 	}
 }
 
-// TestMatchRateComparable checks the tree and exhaustive algorithms accept a
-// similar share of requests: they solve the same matching problem, so large
-// divergence indicates a bug (small divergence is expected because greedy
-// assignment history differs).
+// TestMatchRateComparable checks the tree and an exhaustive algorithm accept
+// the same requests: replaying a slack-tree run's captured instances through
+// branch-and-bound must find a feasible schedule for exactly the requests
+// the tree matched, since both solve the identical scheduling problem.
 func TestMatchRateComparable(t *testing.T) {
 	g, factory, reqs := testWorld(t, 100)
-	rates := map[sim.Algorithm]int{}
-	for _, algo := range []sim.Algorithm{sim.AlgoTreeSlack, sim.AlgoBranchBound} {
-		cfg := baseConfig(g, factory, algo)
-		cfg.Servers, cfg.Seed = 20, 11
-		rates[algo] = runEngine(t, cfg, reqs).Matched
+	var insts []*core.Instance
+	cfg := baseConfig(g, factory, sim.AlgoTreeSlack)
+	cfg.Servers, cfg.Seed = 20, 11
+	cfg.Capture = func(in *core.Instance) { insts = append(insts, in) }
+	tree := runEngine(t, cfg, reqs).Matched
+	bb := 0
+	for _, cs := range branchBoundCosts(factory(), insts) {
+		if cs[0] < math.Inf(1) {
+			bb++
+		}
 	}
-	a, b := rates[sim.AlgoTreeSlack], rates[sim.AlgoBranchBound]
-	if a == 0 || b == 0 {
-		t.Fatalf("zero match rate: tree=%d bb=%d", a, b)
+	if tree == 0 || bb == 0 {
+		t.Fatalf("zero match rate: tree=%d bb=%d", tree, bb)
 	}
-	diff := a - b
-	if diff < 0 {
-		diff = -diff
+	if tree != bb {
+		t.Fatalf("match rates diverge: tree=%d bb=%d of %d", tree, bb, len(reqs))
 	}
-	if diff > len(reqs)/5 {
-		t.Fatalf("match rates diverge: tree=%d bb=%d of %d", a, b, len(reqs))
+}
+
+// TestCaptureObservesOnly: sim.Config.Capture only observes. At one worker a
+// captured run makes the same assignments and the same metrics as an
+// uncaptured one, and it captures one instance per trial whose trip state
+// builds — every trial here, the world being connected — each ending in the
+// submitting request's trip.
+func TestCaptureObservesOnly(t *testing.T) {
+	g, factory, reqs := testWorld(t, 120)
+	var insts []*core.Instance
+	cfg := baseConfig(g, factory, sim.AlgoTreeSlack)
+	cfg.Capture = func(in *core.Instance) { insts = append(insts, in) }
+	captured := newEngine(t, cfg)
+	plain := newEngine(t, baseConfig(g, factory, sim.AlgoTreeSlack))
+	for _, r := range reqs {
+		if cfg.Oracle.Dist(r.Pickup, r.Dropoff) == sp.Inf {
+			t.Fatalf("request %d: dropoff unreachable; the test needs every trip state to build", r.ID)
+		}
+		before := len(insts)
+		cm, cveh := captured.Submit(r)
+		pm, pveh := plain.Submit(r)
+		if cm != pm || cveh != pveh {
+			t.Fatalf("request %d: captured run gave (%v, %d), plain run (%v, %d)", r.ID, cm, cveh, pm, pveh)
+		}
+		for _, in := range insts[before:] {
+			if last := in.Trips[len(in.Trips)-1].ID; last != r.ID {
+				t.Fatalf("request %d captured an instance whose last trip is %d", r.ID, last)
+			}
+		}
+	}
+	for _, e := range []*Engine{captured, plain} {
+		if err := e.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compareMetrics(t, "capture", plain.Metrics(), captured.Metrics())
+	if m := captured.Metrics(); len(insts) != m.TrialCalls || len(insts) == 0 {
+		t.Fatalf("captured %d instances over %d trials", len(insts), m.TrialCalls)
 	}
 }
 

@@ -1,6 +1,8 @@
 // Package exp is the experiment harness: it regenerates every table and
 // figure of the paper's evaluation (§VI) as text tables. Each experiment is
-// one parameter sweep over full simulation runs; Harness.Experiments maps
+// one parameter sweep. The tree-variant figures (§VI-B) are full simulation
+// runs; the four-algorithm figures (§VI-A) time every scheduler on the
+// instances one slack-tree run captured (Replay). Harness.Experiments maps
 // paper figure IDs to the functions here, and cmd/experiments is the CLI
 // driver.
 //
@@ -13,12 +15,16 @@ import (
 	"io"
 	"math"
 	"strings"
+	"text/tabwriter"
 	"time"
+	"unicode/utf8"
 
+	"repro/internal/core"
 	"repro/internal/ingest"
 	"repro/internal/pipeline"
 	"repro/internal/roadnet"
 	"repro/internal/sim"
+	"repro/internal/sp"
 	"repro/internal/trace"
 )
 
@@ -39,11 +45,7 @@ type WorldOptions struct {
 	Scale float64
 	// Trips overrides the scaled trip count when positive.
 	Trips int
-	// HorizonSeconds sets the request time span (default 86400, a full
-	// day: servers and trips both scale with Scale, so per-server demand
-	// stays paper-like without compressing the clock).
-	HorizonSeconds float64
-	Seed           int64
+	Seed  int64
 }
 
 // BuildWorld constructs the experimental environment.
@@ -62,13 +64,11 @@ func BuildWorld(opt WorldOptions) (*World, error) {
 			trips = 200
 		}
 	}
-	horizon := opt.HorizonSeconds
-	if horizon <= 0 {
-		horizon = 86400
-	}
+	// A full day: servers and trips both scale with Scale, so per-server
+	// demand stays paper-like without compressing the clock.
 	reqs, err := trace.Generate(g, trace.GenOptions{
 		Trips:          trips,
-		HorizonSeconds: horizon,
+		HorizonSeconds: 86400,
 		Seed:           opt.Seed + 1,
 	})
 	if err != nil {
@@ -110,22 +110,21 @@ var (
 	TreeCapacities = []int{3, 4, 5, 6, 7, 8, 12, 16, 0}
 )
 
-// FourAlgos are the algorithms of the §VI-A comparison.
-var FourAlgos = []sim.Algorithm{
-	sim.AlgoTreeSlack, sim.AlgoBranchBound, sim.AlgoBruteForce, sim.AlgoMIP,
-}
-
 // TreeAlgos are the kinetic-tree variants of the §VI-B comparison.
-var TreeAlgos = []sim.Algorithm{
-	sim.AlgoTreeBasic, sim.AlgoTreeSlack, sim.AlgoTreeHotspot,
+var TreeAlgos = []string{
+	sim.AlgoTreeBasic.String(), sim.AlgoTreeSlack.String(), sim.AlgoTreeHotspot.String(),
 }
 
-// RunParams identifies one simulation configuration.
+// RunParams identifies one measured configuration.
 type RunParams struct {
-	Algo       sim.Algorithm
+	Algo       string // a TreeAlgos entry, or a FourAlgos one when Replay is set
 	Servers    int
 	Capacity   int
 	Constraint Constraint
+	// Replay selects the §VI-A measurement: Algo's scheduler timed on the
+	// instances a slack-tree run at this point captured, rather than a
+	// simulation running Algo.
+	Replay bool
 }
 
 // Harness executes simulation runs with memoization so that sweeps sharing
@@ -138,34 +137,50 @@ type Harness struct {
 	MaxRequests int
 	Verbose     io.Writer // progress log, may be nil
 	memo        map[RunParams]*sim.Metrics
+	// resolve is each replayed point's distance-resolution time (keyed
+	// with an empty Algo), and resolver the hub-label index it queries,
+	// built on first use.
+	resolve  map[RunParams]time.Duration
+	resolver sp.Oracle
 }
 
 // NewHarness returns a harness over the world.
 func NewHarness(w *World, maxRequests int, verbose io.Writer) *Harness {
-	return &Harness{World: w, MaxRequests: maxRequests, Verbose: verbose, memo: make(map[RunParams]*sim.Metrics)}
+	return &Harness{World: w, MaxRequests: maxRequests, Verbose: verbose,
+		memo: make(map[RunParams]*sim.Metrics), resolve: make(map[RunParams]time.Duration)}
 }
 
-// Run executes (or recalls) the simulation for the given parameters.
-func (h *Harness) Run(p RunParams) (*sim.Metrics, error) {
-	if m, ok := h.memo[p]; ok {
-		return m, nil
-	}
+// requests is the request stream every run replays.
+func (h *Harness) requests() []sim.Request {
 	reqs := h.World.Requests
 	if h.MaxRequests > 0 && len(reqs) > h.MaxRequests {
 		reqs = reqs[:h.MaxRequests]
 	}
+	return reqs
+}
+
+// spec is the pipeline running algo at p's point.
+func (h *Harness) spec(p RunParams, algo string) pipeline.Spec {
 	spec := pipeline.Default()
-	spec.Algo = p.Algo.String()
+	spec.Algo = algo
 	spec.Servers = p.Servers
 	spec.Capacity = p.Capacity
 	spec.WaitMinutes = float64(p.Constraint.WaitMinutes)
 	spec.EpsPercent = float64(p.Constraint.EpsPercent)
 	spec.Seed = h.World.seed + 1000
-	// Bound MIP effort per trial so loose-constraint sweeps finish; the
-	// warm-started incumbent keeps answers valid (Exact=false).
-	limits := pipeline.Limits{MIPMaxNodes: 5000, MIPTimeBudget: 20 * time.Millisecond}
+	return spec
+}
+
+// Run executes (or recalls) the measurement for the given parameters.
+func (h *Harness) Run(p RunParams) (*sim.Metrics, error) {
+	if m, ok := h.memo[p]; ok {
+		return m, nil
+	}
+	if p.Replay {
+		return h.replay(p)
+	}
 	start := time.Now()
-	m, err := Simulate(h.World.Graph, spec, limits, reqs)
+	m, err := Simulate(h.World.Graph, h.spec(p, p.Algo), pipeline.Hooks{}, h.requests())
 	if err != nil {
 		return nil, fmt.Errorf("exp: run %+v: %w", p, err)
 	}
@@ -177,11 +192,45 @@ func (h *Harness) Run(p RunParams) (*sim.Metrics, error) {
 	return m, nil
 }
 
+// replay captures every trial instance of one slack-tree simulation at p's
+// point, replays them through all FourAlgos schedulers, and memoizes each
+// scheduler's metrics.
+func (h *Harness) replay(p RunParams) (*sim.Metrics, error) {
+	point := p
+	point.Algo = ""
+	reqs := h.requests()
+	var insts []*core.Instance
+	start := time.Now()
+	if _, err := Simulate(h.World.Graph, h.spec(p, sim.AlgoTreeSlack.String()),
+		pipeline.Hooks{Capture: func(in *core.Instance) { insts = append(insts, in) }}, reqs); err != nil {
+		return nil, fmt.Errorf("exp: capture run %+v: %w", point, err)
+	}
+	if h.resolver == nil {
+		h.resolver = sp.NewHubLabels(h.World.Graph)
+	}
+	ms, resolve := Replay(h.resolver, insts, len(reqs))
+	h.resolve[point] = resolve
+	for _, name := range FourAlgos {
+		q := point
+		q.Algo = name
+		h.memo[q] = ms[name]
+	}
+	if h.Verbose != nil {
+		fmt.Fprintf(h.Verbose, "# replay servers=%d cap=%d constraint=%s: %d instances, resolve %v (wall %v)\n",
+			p.Servers, p.Capacity, p.Constraint, len(insts), resolve.Round(time.Millisecond), time.Since(start).Round(time.Millisecond))
+	}
+	m, ok := h.memo[p]
+	if !ok {
+		return nil, fmt.Errorf("exp: %q is not a replayed scheduler (%s)", p.Algo, strings.Join(FourAlgos, ", "))
+	}
+	return m, nil
+}
+
 // Simulate replays reqs through the pipeline spec describes over g — at
 // the default single worker the shards run inline, the paper's sequential
 // evaluation loop — and checks the service invariants.
-func Simulate(g *roadnet.Graph, spec pipeline.Spec, limits pipeline.Limits, reqs []sim.Request) (*sim.Metrics, error) {
-	p, err := pipeline.Build(g, spec, pipeline.Hooks{Limits: limits})
+func Simulate(g *roadnet.Graph, spec pipeline.Spec, hooks pipeline.Hooks, reqs []sim.Request) (*sim.Metrics, error) {
+	p, err := pipeline.Build(g, spec, hooks)
 	if err != nil {
 		return nil, err
 	}
@@ -203,45 +252,24 @@ type Table struct {
 	Notes   []string
 }
 
-// Render writes the table in aligned plain text.
+// Render writes the table in aligned plain text: a title line, the columns
+// over a rule, the rows, then the notes.
 func (t *Table) Render(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title); err != nil {
 		return err
 	}
-	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
-		widths[i] = len(c)
-	}
-	for _, row := range t.Rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
+	rule := make([]string, len(t.Columns)) // each column's widest cell in dashes
+	for _, row := range append([][]string{t.Columns}, t.Rows...) {
+		for i, cell := range row[:min(len(row), len(rule))] {
+			rule[i] = strings.Repeat("-", max(len(rule[i]), utf8.RuneCountInString(cell)))
 		}
 	}
-	line := func(cells []string) string {
-		var b strings.Builder
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(c)
-			if pad := widths[i] - len(c); pad > 0 && i < len(cells)-1 {
-				b.WriteString(strings.Repeat(" ", pad))
-			}
-		}
-		return b.String()
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	for _, row := range append([][]string{t.Columns, rule}, t.Rows...) {
+		fmt.Fprintln(tw, strings.Join(row, "\t"))
 	}
-	if _, err := fmt.Fprintln(w, line(t.Columns)); err != nil {
+	if err := tw.Flush(); err != nil {
 		return err
-	}
-	if _, err := fmt.Fprintln(w, strings.Repeat("-", len(line(t.Columns)))); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if _, err := fmt.Fprintln(w, line(row)); err != nil {
-			return err
-		}
 	}
 	for _, n := range t.Notes {
 		if _, err := fmt.Fprintf(w, "note: %s\n", n); err != nil {

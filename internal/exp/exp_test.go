@@ -2,10 +2,15 @@ package exp
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/core"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
+	"repro/internal/sp"
 )
 
 // tinyHarness builds a minimal world for smoke tests.
@@ -42,7 +47,7 @@ func TestScaleCount(t *testing.T) {
 
 func TestHarnessMemoizes(t *testing.T) {
 	h := tinyHarness(t)
-	p := RunParams{Algo: sim.AlgoTreeSlack, Servers: 10, Capacity: 4, Constraint: DefaultConstraint}
+	p := RunParams{Algo: sim.AlgoTreeSlack.String(), Servers: 10, Capacity: 4, Constraint: DefaultConstraint}
 	a, err := h.Run(p)
 	if err != nil {
 		t.Fatal(err)
@@ -113,4 +118,71 @@ func TestTableRender(t *testing.T) {
 			t.Errorf("render output missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestReplaySchedulersAgree: on the identical instances a slack-tree run
+// captured, brute force, branch-and-bound and both exact tree variants —
+// scheduling from scratch, and the timed path of one TrialInsert into a
+// prebuilt tree — agree on feasibility and on the optimal cost; MIP is
+// feasible wherever branch-and-bound is, never beats it, and matches it
+// when it proves optimality.
+func TestReplaySchedulersAgree(t *testing.T) {
+	h := tinyHarness(t)
+	p := h.fourAlgoDefaults()
+	reqs := h.requests()
+	var insts []*core.Instance
+	capture := pipeline.Hooks{Capture: func(in *core.Instance) { insts = append(insts, in) }}
+	if _, err := Simulate(h.World.Graph, h.spec(p, sim.AlgoTreeSlack.String()), capture, reqs); err != nil {
+		t.Fatal(err)
+	}
+	oracle := sp.NewDijkstra(h.World.Graph)
+	same := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(b), 1) }
+	feasible, shared := 0, 0
+	for i, in := range insts {
+		tab := resolveTable(oracle, in)
+		bb := core.NewBranchBound(tab).Schedule(in)
+		for _, s := range []core.Scheduler{
+			core.NewBruteForce(tab),
+			core.NewTreeScheduler(tab, core.TreeOptions{}),
+			core.NewTreeScheduler(tab, core.TreeOptions{Slack: true}),
+		} {
+			res := s.Schedule(in)
+			if res.OK != bb.OK || (bb.OK && !same(res.Cost, bb.Cost)) {
+				t.Fatalf("instance %d: %s says (%v, %.9f), branchbound (%v, %.9f)", i, s.Name(), res.OK, res.Cost, bb.OK, bb.Cost)
+			}
+		}
+		if _, ok := replayTree(tab, in); ok != bb.OK {
+			t.Fatalf("instance %d: prebuilt-tree TrialInsert feasible=%v, branchbound %v", i, ok, bb.OK)
+		}
+		mip := core.NewMIPScheduler(tab, 5000)
+		mip.SetTimeBudget(20 * time.Millisecond)
+		res := mip.Schedule(in)
+		switch {
+		case bb.OK && !res.OK:
+			t.Fatalf("instance %d: mip infeasible where branchbound costs %.3f", i, bb.Cost)
+		case res.OK && res.Cost < bb.Cost && !same(res.Cost, bb.Cost):
+			t.Fatalf("instance %d: mip %.9f beats the branchbound optimum %.9f", i, res.Cost, bb.Cost)
+		case res.OK && res.Exact && !same(res.Cost, bb.Cost):
+			t.Fatalf("instance %d: mip proved %.9f optimal, branchbound found %.9f", i, res.Cost, bb.Cost)
+		}
+		if bb.OK {
+			feasible++
+			if len(in.Trips) > 1 {
+				shared++
+			}
+		}
+	}
+	if feasible == 0 || shared == 0 {
+		t.Fatalf("%d instances, %d feasible, %d feasible with a trip already scheduled: the check is vacuous", len(insts), feasible, shared)
+	}
+	ms, _ := Replay(oracle, insts, len(reqs))
+	for _, name := range FourAlgos {
+		if got, want := ms[name].TrialCalls, len(insts); got != want {
+			t.Errorf("%s: replay timed %d trials, want %d", name, got, want)
+		}
+		if got, want := ms[name].Matched, ms["branchbound"].Matched; got != want {
+			t.Errorf("%s: replay matched %d requests, branchbound %d", name, got, want)
+		}
+	}
+	t.Logf("%d instances, %d feasible, %d with a trip already scheduled", len(insts), feasible, shared)
 }

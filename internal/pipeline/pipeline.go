@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/dispatch"
 	"repro/internal/faults"
 	"repro/internal/ingest"
@@ -49,7 +50,7 @@ type Spec struct {
 	EpsPercent  float64 // -eps: service constraint, percent extra ride
 	Seed        int64   // -seed: fleet placement (and retry jitter under a fault plan)
 
-	Algo  string  // -algo: ktree, ktree-slack, ktree-hotspot, bruteforce, branchbound, mip
+	Algo  string  // -algo: ktree, ktree-slack, ktree-hotspot
 	Theta float64 // -theta: hotspot radius in meters (ktree-hotspot)
 	Lazy  bool    // -lazy: lazy tree invalidation (paper §IV-A)
 
@@ -122,7 +123,7 @@ func (s Spec) resolve() (r resolved, err error) {
 }
 
 func parseAlgo(name string) (sim.Algorithm, error) {
-	for a := sim.AlgoTreeBasic; a <= sim.AlgoMIP; a++ {
+	for a := sim.AlgoTreeBasic; a <= sim.AlgoTreeHotspot; a++ {
 		if a.String() == name {
 			return a, nil
 		}
@@ -182,23 +183,21 @@ func parseOracle(name string) (oracleStack, error) {
 	return oracleStack{}, fmt.Errorf("pipeline: unknown oracle %q", name)
 }
 
-// Hooks carries what a Spec cannot: the live observability objects, and
-// the experiment harness's per-trial effort bounds, which no ridesim flag
-// sets. The zero value is an uninstrumented run at the engine's defaults;
-// instrumentation records but never branches, so it changes no assignment.
+// Hooks carries what a Spec cannot, because no ridesim flag sets it: the
+// live observability objects, the experiment harness's tree-size cap, and
+// its instance capture. The zero value is an uninstrumented run at the
+// engine's defaults; instrumentation and capture record but never branch,
+// so they change no assignment.
 type Hooks struct {
 	Tracer *obs.Tracer // request lifecycle events and spans
 	Live   *obs.Live   // atomically readable progress counters
-	Limits Limits
-}
-
-// Limits bounds the work one scheduling trial may do; zero fields keep
-// sim.Config's defaults. internal/exp tightens them so the slow baselines
-// and the unlimited-capacity stress sweep finish.
-type Limits struct {
-	MaxTreeNodes  int           // kinetic-tree size cap
-	MIPMaxNodes   int           // MIP branch-and-bound node cap
-	MIPTimeBudget time.Duration // MIP wall time per trial
+	// MaxTreeNodes caps a candidate kinetic tree (sim.Config's default when
+	// zero); internal/exp tightens it so the unlimited-capacity stress
+	// sweep finishes.
+	MaxTreeNodes int
+	// Capture receives every trial's rescheduling instance, on the trialing
+	// goroutine (sim.Config.Capture).
+	Capture func(*core.Instance)
 }
 
 // Pipeline is one assembled stack. Gateway and SLO are nil on a direct-feed
@@ -249,9 +248,7 @@ func Build(g *roadnet.Graph, spec Spec, hooks Hooks) (*Pipeline, error) {
 		Algorithm:        r.algo,
 		HotspotTheta:     spec.Theta,
 		LazyInvalidation: spec.Lazy,
-		MaxTreeNodes:     hooks.Limits.MaxTreeNodes,
-		MIPMaxNodes:      hooks.Limits.MIPMaxNodes,
-		MIPTimeBudget:    hooks.Limits.MIPTimeBudget,
+		MaxTreeNodes:     hooks.MaxTreeNodes,
 		AutoTune:         spec.AutoTune,
 		Seed:             spec.Seed,
 		Workers:          spec.Workers,
@@ -260,6 +257,7 @@ func Build(g *roadnet.Graph, spec Spec, hooks Hooks) (*Pipeline, error) {
 		Trace:            hooks.Tracer,
 		Live:             hooks.Live,
 		Faults:           p.Injector,
+		Capture:          hooks.Capture,
 	}, factory)
 	if err != nil {
 		return nil, err

@@ -333,7 +333,9 @@ func hitRate(hits, misses uint64) float64 {
 	return float64(hits) / float64(hits+misses)
 }
 
-func (m *Metrics) recordART(active int, d time.Duration) {
+// AddART adds one trial's scheduling wall time to the ART bucket of the
+// vehicle's scheduled-request count, and counts the trial.
+func (m *Metrics) AddART(active int, d time.Duration) {
 	m.artTotal[active] += d
 	m.artCount[active]++
 	m.TrialCalls++

@@ -19,7 +19,7 @@ func recordRandom(m *Metrics, r *rand.Rand, n int) {
 			m.Rejected++
 		}
 		m.AddACRT(time.Duration(r.Intn(1_000_000)))
-		m.recordART(r.Intn(6), time.Duration(r.Intn(100_000)))
+		m.AddART(r.Intn(6), time.Duration(r.Intn(100_000)))
 		if r.Intn(3) == 0 {
 			m.TrialFailures++
 		}

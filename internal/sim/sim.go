@@ -2,25 +2,25 @@ package sim
 
 import (
 	"fmt"
-	"time"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/roadnet"
 	"repro/internal/sp"
 )
 
-// Algorithm selects the matching algorithm a fleet runs.
+// Algorithm selects the kinetic-tree variant a fleet runs.
 type Algorithm int
 
-// Matching algorithms (paper §VI-A/B).
+// The kinetic-tree variants of paper §VI-B. The §VI-A baselines (brute
+// force, branch-and-bound, MIP) are not vehicle kinds: internal/exp times
+// internal/core's schedulers on instances captured from tree runs
+// (Config.Capture).
 const (
 	AlgoTreeBasic Algorithm = iota
 	AlgoTreeSlack
 	AlgoTreeHotspot
-	AlgoBruteForce
-	AlgoBranchBound
-	AlgoMIP
 )
 
 func (a Algorithm) String() string {
@@ -31,12 +31,6 @@ func (a Algorithm) String() string {
 		return "ktree-slack"
 	case AlgoTreeHotspot:
 		return "ktree-hotspot"
-	case AlgoBruteForce:
-		return "bruteforce"
-	case AlgoBranchBound:
-		return "branchbound"
-	case AlgoMIP:
-		return "mip"
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
@@ -71,13 +65,9 @@ type Config struct {
 	Algorithm    Algorithm
 	HotspotTheta float64 // meters (AlgoTreeHotspot; default 300)
 	// LazyInvalidation defers kinetic-tree pruning on movement to the
-	// next request (paper §IV-A); applies to the tree algorithms only.
+	// next request (paper §IV-A).
 	LazyInvalidation bool
 	MaxTreeNodes     int // candidate-tree size cap; 0 = 200000
-	MIPMaxNodes      int // MIP branch&bound node cap; 0 = solver default
-	// MIPTimeBudget bounds each MIP trial's wall time; the warm-started
-	// incumbent is returned on truncation (0 = 50ms; negative = unbounded).
-	MIPTimeBudget time.Duration
 
 	ReportInterval float64 // seconds between vehicle position reports (default 30)
 	CellSize       float64 // spatial-index cell size in meters (default 1000)
@@ -120,6 +110,15 @@ type Config struct {
 	// fault-free run; a nil injector (the default) is proven
 	// bit-identical to an unhooked engine by the equivalence tests.
 	Faults *faults.Injector
+	// Capture, when non-nil, receives the rescheduling instance of every
+	// trial that gets past the Euclidean pre-screen and whose trip state
+	// builds: the vehicle's origin, odometer and capacity, its active trips
+	// and, last, the request's trip. Each instance is freshly allocated and
+	// the callee's to keep. It is called on the goroutine running the
+	// trial — a shard's worker when Workers > 1 — so a callee shared across
+	// shards must synchronize. Capture only observes: it changes no
+	// assignment.
+	Capture func(*core.Instance)
 }
 
 func (c *Config) withDefaults() Config {
@@ -145,9 +144,6 @@ func (c *Config) withDefaults() Config {
 		} else {
 			out.CellSize = DefaultCellSize
 		}
-	}
-	if out.MIPTimeBudget == 0 {
-		out.MIPTimeBudget = 50 * time.Millisecond
 	}
 	return out
 }

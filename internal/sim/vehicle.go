@@ -9,27 +9,19 @@ import (
 	"repro/internal/roadnet"
 )
 
-// Vehicle is one server: either a kinetic-tree vehicle (incremental state)
-// or a stateless-scheduler vehicle that reschedules from scratch on every
-// trial, exactly the distinction the paper draws between the tree algorithm
-// and the brute-force/branch-and-bound/MIP baselines. Vehicles are moved and
-// scheduled through a Worker; the type itself exposes only read accessors.
+// Vehicle is one server: its position, odometer and kinetic tree (the
+// materialization of every valid schedule from here on, paper §IV).
+// Vehicles are moved and scheduled through a Worker; the type itself
+// exposes only read accessors.
 type Vehicle struct {
 	id    int
 	loc   roadnet.VertexID
 	odo   float64 // meters traveled since simulation start
 	clock float64 // simulation time (seconds) of the last advance
 
-	// Tree algorithms.
 	tree *core.Tree
 
-	// Stateless algorithms.
-	sched core.Scheduler
-	trips []core.TripState
-	done  []bool
-	route []core.Stop // committed order, indices into trips
-
-	// Current leg being driven (toward route/tree target or cruising).
+	// Current leg being driven (toward the tree's next stop or cruising).
 	path    []roadnet.VertexID // path[0] == loc conceptually; consumed from front
 	pathPos int
 
@@ -50,57 +42,8 @@ func (v *Vehicle) Loc() roadnet.VertexID { return v.loc }
 // PeakOnboard returns the largest simultaneous passenger count observed.
 func (v *Vehicle) PeakOnboard() int { return v.peakOnboard }
 
-func (v *Vehicle) isTree() bool { return v.tree != nil }
-
-// activeTrips returns the number of accepted, uncompleted trips.
-func (v *Vehicle) activeTrips() int {
-	if v.isTree() {
-		return v.tree.ActiveTrips()
-	}
-	n := 0
-	for i := range v.trips {
-		if !v.done[i] {
-			n++
-		}
-	}
-	return n
-}
-
-func (v *Vehicle) onboard() int {
-	if v.isTree() {
-		return v.tree.OnBoard()
-	}
-	n := 0
-	for i := range v.trips {
-		if !v.done[i] && v.trips[i].OnBoard {
-			n++
-		}
-	}
-	return n
-}
-
 // Busy reports whether the vehicle has committed stops to serve.
-func (v *Vehicle) Busy() bool {
-	if v.isTree() {
-		return !v.tree.Empty()
-	}
-	return len(v.route) > 0
-}
-
-// nextTarget returns the vertex of the next committed stop.
-func (v *Vehicle) nextTarget() (roadnet.VertexID, bool) {
-	if v.isTree() {
-		stops := v.tree.NextStops()
-		if len(stops) == 0 {
-			return 0, false
-		}
-		return stops[0].Vertex, true
-	}
-	if len(v.route) == 0 {
-		return 0, false
-	}
-	return v.route[0].Vertex, true
-}
+func (v *Vehicle) Busy() bool { return !v.tree.Empty() }
 
 // AdvanceTo moves the vehicle forward to simulation time t, following its
 // committed schedule when busy and cruising randomly when idle ("a vehicle
@@ -115,7 +58,7 @@ func (w *Worker) AdvanceTo(v *Vehicle, t float64) {
 	v.clock = t
 	for budget > 1e-9 {
 		if v.Busy() {
-			target, _ := v.nextTarget()
+			target := v.tree.NextStops()[0].Vertex // the next committed stop
 			if target == v.loc {
 				budget = w.serveStop(v, budget)
 				continue
@@ -157,9 +100,7 @@ func (w *Worker) stepToward(v *Vehicle, target roadnet.VertexID, budget *float64
 		v.loc = next
 		v.pathPos++
 		w.metrics.TotalVehicleMeters += ew
-		if v.isTree() {
-			v.tree.SetLocation(v.loc, v.odo)
-		}
+		v.tree.SetLocation(v.loc, v.odo)
 	}
 	return true
 }
@@ -180,50 +121,27 @@ func (w *Worker) cruise(v *Vehicle, budget *float64) {
 	v.odo += ws[i]
 	v.loc = ts[i]
 	w.metrics.TotalVehicleMeters += ws[i]
-	if v.isTree() {
-		// Keep the (empty) tree's root in sync while cruising: the next
-		// trial insertion computes every leg from the tree's location.
-		v.tree.SetLocation(v.loc, v.odo)
-	}
+	// Keep the (empty) tree's root in sync while cruising: the next trial
+	// insertion computes every leg from the tree's location.
+	v.tree.SetLocation(v.loc, v.odo)
 }
 
 // serveStop handles arrival at the next scheduled stop and returns the
 // remaining budget (intra-hotspot travel is consumed from it).
 func (w *Worker) serveStop(v *Vehicle, budget float64) float64 {
-	if v.isTree() {
-		v.tree.SetLocation(v.loc, v.odo)
-		pre := v.tree.Odo()
-		served, err := v.tree.Advance()
-		if err != nil {
-			panic(fmt.Sprintf("sim: vehicle %d: %v", v.id, err))
-		}
-		delta := v.tree.Odo() - pre // intra-hotspot distance
-		budget -= delta
-		v.odo = v.tree.Odo()
-		v.loc = v.tree.Loc()
-		w.metrics.TotalVehicleMeters += delta
-		for _, sv := range served {
-			w.accountStop(v, sv.Stop.Kind, sv.Trip, sv.Odo)
-		}
-		return budget
+	v.tree.SetLocation(v.loc, v.odo)
+	pre := v.tree.Odo()
+	served, err := v.tree.Advance()
+	if err != nil {
+		panic(fmt.Sprintf("sim: vehicle %d: %v", v.id, err))
 	}
-	// Stateless vehicle: serve every consecutive leading stop at this
-	// vertex.
-	for len(v.route) > 0 && v.route[0].Vertex == v.loc {
-		stop := v.route[0]
-		v.route = v.route[1:]
-		tr := &v.trips[stop.Trip]
-		switch stop.Kind {
-		case core.Pickup:
-			tr.MarkPickedUp(v.odo)
-		case core.Dropoff:
-			v.done[stop.Trip] = true
-		}
-		w.accountStop(v, stop.Kind, *tr, v.odo)
-	}
-	if len(v.route) == 0 {
-		v.trips = v.trips[:0]
-		v.done = v.done[:0]
+	delta := v.tree.Odo() - pre // intra-hotspot distance
+	budget -= delta
+	v.odo = v.tree.Odo()
+	v.loc = v.tree.Loc()
+	w.metrics.TotalVehicleMeters += delta
+	for _, sv := range served {
+		w.accountStop(v, sv.Stop.Kind, sv.Trip, sv.Odo)
 	}
 	return budget
 }
@@ -232,7 +150,7 @@ func (w *Worker) serveStop(v *Vehicle, budget float64) float64 {
 func (w *Worker) accountStop(v *Vehicle, kind core.StopKind, tr core.TripState, at float64) {
 	switch kind {
 	case core.Pickup:
-		if ob := v.onboard(); ob > v.peakOnboard {
+		if ob := v.tree.OnBoard(); ob > v.peakOnboard {
 			v.peakOnboard = ob
 		}
 		v.pickupOdo[tr.ID] = at

@@ -65,7 +65,7 @@ func TestAdvanceToIsMonotonic(t *testing.T) {
 // TestServeDeliversPassenger: commit one request near the vehicle and drive
 // until both stops are served; accounting must record the wait and ride.
 func TestServeDeliversPassenger(t *testing.T) {
-	for _, algo := range []Algorithm{AlgoTreeSlack, AlgoBranchBound} {
+	for _, algo := range []Algorithm{AlgoTreeBasic, AlgoTreeSlack} {
 		s := newIdleVehicle(t, algo)
 		v := s.v
 		// Pick stops reachable well within the waiting budget.
@@ -106,9 +106,9 @@ func TestServeDeliversPassenger(t *testing.T) {
 // TestMetricsARTBuckets checks bucket bookkeeping.
 func TestMetricsARTBuckets(t *testing.T) {
 	m := NewMetrics()
-	m.recordART(0, 100)
-	m.recordART(0, 300)
-	m.recordART(2, 500)
+	m.AddART(0, 100)
+	m.AddART(0, 300)
+	m.AddART(2, 500)
 	if d, n := m.ART(0); n != 2 || d != 200 {
 		t.Fatalf("ART(0) = %v, %d", d, n)
 	}
@@ -155,7 +155,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	m.Rejected = 2
 	m.Completed = 8
 	m.AddACRT(1000)
-	m.recordART(3, 500)
+	m.AddART(3, 500)
 	m.AddOccupancy(2)
 	m.AddOccupancy(4)
 	s := m.Snapshot()

@@ -27,30 +27,16 @@ type Worker struct {
 	graph   *roadnet.Graph
 	oracle  sp.Oracle
 	metrics *Metrics
-	sched   core.Scheduler // shared by this worker's stateless vehicles
-	ring    *obs.Ring      // lifecycle events (nil = tracing off)
-	live    *obs.Live      // live counters (nil = off)
+	ring    *obs.Ring // lifecycle events (nil = tracing off)
+	live    *obs.Live // live counters (nil = off)
 }
 
 // NewWorker builds a worker over the graph in cfg using the given oracle
 // (which may differ from cfg.Oracle when the fleet is sharded) and metrics
-// sink. Stateless algorithms get a scheduler instance private to the worker.
+// sink.
 func NewWorker(cfg Config, oracle sp.Oracle, m *Metrics) *Worker {
 	cfg = cfg.withDefaults()
-	w := &Worker{cfg: cfg, graph: cfg.Graph, oracle: oracle, metrics: m}
-	switch cfg.Algorithm {
-	case AlgoBruteForce:
-		w.sched = core.NewBruteForce(oracle)
-	case AlgoBranchBound:
-		w.sched = core.NewBranchBound(oracle)
-	case AlgoMIP:
-		ms := core.NewMIPScheduler(oracle, cfg.MIPMaxNodes)
-		if cfg.MIPTimeBudget > 0 {
-			ms.SetTimeBudget(cfg.MIPTimeBudget)
-		}
-		w.sched = ms
-	}
-	return w
+	return &Worker{cfg: cfg, graph: cfg.Graph, oracle: oracle, metrics: m}
 }
 
 // SetTrace attaches a lifecycle-event ring and live counter set to the
@@ -122,33 +108,25 @@ func Placements(cfg Config) []Placement {
 }
 
 // NewVehicle creates vehicle id at loc, with the per-vehicle cruise RNG and
-// (for tree algorithms) a kinetic tree bound to this worker's oracle.
+// a kinetic tree of the configured variant bound to this worker's oracle.
 func (w *Worker) NewVehicle(id int, loc roadnet.VertexID) *Vehicle {
-	v := &Vehicle{
+	opts := core.TreeOptions{
+		Slack:            w.cfg.Algorithm != AlgoTreeBasic,
+		Capacity:         w.cfg.Capacity,
+		MaxTreeNodes:     w.cfg.MaxTreeNodes,
+		LazyInvalidation: w.cfg.LazyInvalidation,
+	}
+	if w.cfg.Algorithm == AlgoTreeHotspot {
+		opts.HotspotTheta = w.cfg.HotspotTheta
+	}
+	return &Vehicle{
 		id:         id,
 		loc:        loc,
+		tree:       core.NewTree(w.oracle, loc, 0, opts),
 		rng:        rand.New(rand.NewSource(w.cfg.Seed + int64(id) + 1)),
 		requestOdo: make(map[int64]float64),
 		pickupOdo:  make(map[int64]float64),
 	}
-	switch w.cfg.Algorithm {
-	case AlgoTreeBasic, AlgoTreeSlack, AlgoTreeHotspot:
-		opts := core.TreeOptions{
-			Capacity:         w.cfg.Capacity,
-			MaxTreeNodes:     w.cfg.MaxTreeNodes,
-			LazyInvalidation: w.cfg.LazyInvalidation,
-		}
-		if w.cfg.Algorithm != AlgoTreeBasic {
-			opts.Slack = true
-		}
-		if w.cfg.Algorithm == AlgoTreeHotspot {
-			opts.HotspotTheta = w.cfg.HotspotTheta
-		}
-		v.tree = core.NewTree(w.oracle, loc, 0, opts)
-	default:
-		v.sched = w.sched
-	}
-	return v
 }
 
 // Trial is the outcome of a successful trial insertion, ready to Commit on
@@ -158,14 +136,12 @@ func (w *Worker) NewVehicle(id int, loc roadnet.VertexID) *Vehicle {
 // mutates (a Commit on it, or movement via AdvanceTo), no matter how many
 // further Trials run on the same vehicle in between — trial insertions
 // leave the vehicle untouched (a kinetic-tree candidate is an independent
-// new tree; a stateless result references only the instance it was built
-// from). The batch planner relies on this to retain every candidate's
+// new tree). The batch planner relies on this to retain every candidate's
 // phase-1 trial across a whole flush and commit the surviving winner, or
 // merge retained clean trials with fresh retrials of dirtied vehicles.
 type Trial struct {
 	Cost     float64
 	treeCand *core.Candidate
-	result   core.Result
 	trip     core.TripState
 }
 
@@ -174,60 +150,52 @@ type Trial struct {
 // committed; releasing a trial whose candidate was already committed (or
 // already released) is a no-op, so the engine may sweep-release every trial
 // of a request after the winner commits. A released trial must not be
-// committed afterwards. Stateless-scheduler trials hold no tree and
-// release nothing.
+// committed afterwards.
 func (tr Trial) Release() { tr.treeCand.Release() }
 
 // Trial trial-schedules req on v, which must already be advanced to the
 // request time. (px, py) are the pickup coordinates; vehicles whose exact
 // position lies beyond the waiting budget are skipped (Euclidean distance
 // lower-bounds network distance on generator graphs). It records trial
-// metrics exactly as the paper's evaluation counts them and reports whether
-// v can serve the request.
+// metrics exactly as the paper's evaluation counts them, hands the trial's
+// instance to Config.Capture when set, and reports whether v can serve the
+// request.
 func (w *Worker) Trial(v *Vehicle, req Request, px, py, waitMeters, eps float64) (Trial, bool) {
 	vx, vy := w.graph.Coord(v.loc)
 	if dx, dy := vx-px, vy-py; dx*dx+dy*dy > waitMeters*waitMeters {
 		return Trial{}, false
 	}
-	active := v.activeTrips()
+	active := v.tree.ActiveTrips()
 	trialStart := time.Now() //vetkit:allow determinism ART metric only; trial feasibility and cost are time-independent
-	if v.isTree() {
-		trip, err := core.NewTripState(req.ID, req.Pickup, req.Dropoff, waitMeters, eps, v.odo, w.oracle)
-		if err != nil {
-			// Unreachable dropoff: an infeasible trial like any other.
-			w.metrics.recordART(active, time.Since(trialStart)) //vetkit:allow determinism ART metric only
-			w.metrics.TrialFailures++
-			return Trial{}, false
-		}
-		cand, ok, err := v.tree.TrialInsert(trip)
-		w.metrics.recordART(active, time.Since(trialStart)) //vetkit:allow determinism ART metric only
-		if err != nil {
-			// Candidate tree exceeded the size budget: the paper's
-			// basic/slack variants "break off" here (Fig. 9c).
-			w.metrics.OverBudget++
-			w.metrics.TrialFailures++
-			return Trial{}, false
-		}
-		if !ok {
-			w.metrics.TrialFailures++
-			return Trial{}, false
-		}
-		return Trial{Cost: cand.Cost, treeCand: cand, trip: trip}, true
-	}
-	inst, trip, ok := w.buildInstance(v, req, waitMeters, eps)
-	if !ok {
+	trip, err := core.NewTripState(req.ID, req.Pickup, req.Dropoff, waitMeters, eps, v.odo, w.oracle)
+	if err != nil {
 		// Unreachable dropoff: an infeasible trial like any other.
-		w.metrics.recordART(active, time.Since(trialStart)) //vetkit:allow determinism ART metric only
+		w.metrics.AddART(active, time.Since(trialStart)) //vetkit:allow determinism ART metric only
 		w.metrics.TrialFailures++
 		return Trial{}, false
 	}
-	res := v.sched.Schedule(inst)
-	w.metrics.recordART(active, time.Since(trialStart)) //vetkit:allow determinism ART metric only
-	if !res.OK {
+	if w.cfg.Capture != nil {
+		w.cfg.Capture(&core.Instance{
+			Origin:   v.tree.Loc(),
+			Odo:      v.tree.Odo(),
+			Capacity: w.cfg.Capacity,
+			Trips:    append(v.tree.ActiveTripStates(nil), trip),
+		})
+	}
+	cand, ok, err := v.tree.TrialInsert(trip)
+	w.metrics.AddART(active, time.Since(trialStart)) //vetkit:allow determinism ART metric only
+	if err != nil {
+		// Candidate tree exceeded the size budget: the paper's
+		// basic/slack variants "break off" here (Fig. 9c).
+		w.metrics.OverBudget++
 		w.metrics.TrialFailures++
 		return Trial{}, false
 	}
-	return Trial{Cost: res.Cost, result: res, trip: trip}, true
+	if !ok {
+		w.metrics.TrialFailures++
+		return Trial{}, false
+	}
+	return Trial{Cost: cand.Cost, treeCand: cand, trip: trip}, true
 }
 
 // Commit adopts a successful trial on v and accounts the match. The trial
@@ -235,65 +203,19 @@ func (w *Worker) Trial(v *Vehicle, req Request, px, py, waitMeters, eps float64)
 // per Trial's retention semantics, trials on v in between are harmless.
 func (w *Worker) Commit(v *Vehicle, tr Trial) {
 	v.requestOdo[tr.trip.ID] = v.odo
-	if v.isTree() {
-		v.tree.Commit(tr.treeCand)
-		if n := v.tree.Nodes(); n > w.metrics.TreeNodesMax {
-			w.metrics.TreeNodesMax = n
-		}
-	} else {
-		w.commitStateless(v, tr.result, tr.trip)
+	v.tree.Commit(tr.treeCand)
+	if n := v.tree.Nodes(); n > w.metrics.TreeNodesMax {
+		w.metrics.TreeNodesMax = n
 	}
 	w.metrics.Matched++
 	w.live.AddMatched(1)
 }
 
-// buildInstance assembles the rescheduling instance for a stateless vehicle:
-// its active trips plus the new request, origin at its current position.
-func (w *Worker) buildInstance(v *Vehicle, req Request, waitMeters, eps float64) (*core.Instance, core.TripState, bool) {
-	trip, err := core.NewTripState(req.ID, req.Pickup, req.Dropoff, waitMeters, eps, v.odo, w.oracle)
-	if err != nil {
-		return nil, core.TripState{}, false
-	}
-	inst := &core.Instance{Origin: v.loc, Odo: v.odo, Capacity: w.cfg.Capacity}
-	for i := range v.trips {
-		if !v.done[i] {
-			inst.Trips = append(inst.Trips, v.trips[i])
-		}
-	}
-	inst.Trips = append(inst.Trips, trip)
-	return inst, trip, true
-}
-
-// commitStateless adopts the scheduler's order on the vehicle. The order's
-// trip indices reference the instance's compacted trip list; they are
-// remapped to the vehicle's slot array.
-func (w *Worker) commitStateless(v *Vehicle, res core.Result, trip core.TripState) {
-	slot := make([]int, 0, len(v.trips)+1)
-	for i := range v.trips {
-		if !v.done[i] {
-			slot = append(slot, i)
-		}
-	}
-	v.trips = append(v.trips, trip)
-	v.done = append(v.done, false)
-	slot = append(slot, len(v.trips)-1)
-	route := make([]core.Stop, len(res.Order))
-	for i, st := range res.Order {
-		st.Trip = slot[st.Trip]
-		route[i] = st
-	}
-	v.route = route
-	v.path = nil
-	v.pathPos = 0
-}
-
 // CheckVehicle verifies the per-vehicle invariants: a consistent kinetic
 // tree and peak occupancy within the configured capacity.
 func (w *Worker) CheckVehicle(v *Vehicle) error {
-	if v.isTree() {
-		if err := v.tree.Validate(); err != nil {
-			return err
-		}
+	if err := v.tree.Validate(); err != nil {
+		return err
 	}
 	if w.cfg.Capacity > 0 && v.peakOnboard > w.cfg.Capacity {
 		return fmt.Errorf("peak occupancy %d exceeds capacity %d", v.peakOnboard, w.cfg.Capacity)

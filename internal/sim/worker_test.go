@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/roadnet"
 	"repro/internal/sp"
 )
@@ -29,12 +30,15 @@ func splitWorld(t *testing.T) *roadnet.Graph {
 
 // TestTrialFailureCountingUnreachable: a trial whose dropoff is unreachable
 // from the pickup (NewTripState error) must count as a TrialFailure like
-// every other infeasible path, on both the kinetic-tree and the stateless
-// scheduling paths.
+// every other infeasible path, for the basic and the slack tree alike. Only
+// the trial whose trip state builds reaches Config.Capture, as an instance
+// ending in the request's trip.
 func TestTrialFailureCountingUnreachable(t *testing.T) {
 	g := splitWorld(t)
-	for _, algo := range []Algorithm{AlgoTreeSlack, AlgoBranchBound} {
-		cfg := Config{Graph: g, Oracle: sp.NewDijkstra(g), Servers: 1, Capacity: 4, Algorithm: algo, Seed: 1}
+	for _, algo := range []Algorithm{AlgoTreeBasic, AlgoTreeSlack} {
+		var captured []*core.Instance
+		cfg := Config{Graph: g, Oracle: sp.NewDijkstra(g), Servers: 1, Capacity: 4, Algorithm: algo, Seed: 1,
+			Capture: func(in *core.Instance) { captured = append(captured, in) }}
 		m := NewMetrics()
 		w := NewWorker(cfg, cfg.Oracle, m)
 		v := w.NewVehicle(0, 0)
@@ -62,6 +66,12 @@ func TestTrialFailureCountingUnreachable(t *testing.T) {
 		}
 		if m.TrialFailures != 1 {
 			t.Fatalf("%s: TrialFailures=%d after a feasible trial, want 1", algo, m.TrialFailures)
+		}
+		if len(captured) != 1 {
+			t.Fatalf("%s: captured %d instances, want 1 (the reachable trial only)", algo, len(captured))
+		}
+		if in := captured[0]; in.Origin != v.Loc() || in.Capacity != 4 || len(in.Trips) != 1 || in.Trips[0].ID != req.ID {
+			t.Fatalf("%s: captured instance %+v, want origin %d, capacity 4, one trip with ID %d", algo, in, v.Loc(), req.ID)
 		}
 	}
 }
