@@ -1,4 +1,4 @@
-// Command vetkit is the repo's static-analysis multichecker: four
+// Command vetkit is the repo's static-analysis multichecker: three
 // go/analysis-style passes that enforce, at compile time, the invariants
 // the equivalence suites only catch after the fact. It speaks the
 // `go vet -vettool` protocol; run it over the whole module with
@@ -14,8 +14,6 @@
 //	                outputs must be bit-identical across runs
 //	oracletaxonomy  per-goroutine sp.Oracle values never cross goroutine
 //	                boundaries (only SharedOracle / WorkerSource facades do)
-//	poolownership   kinetic-tree pool nodes are released exactly once and
-//	                never committed after release
 //	lockdiscipline  no lock-containing values copied by value; sim.Metrics
 //	                and obs.Histogram merge only via their merge functions
 package main
@@ -24,7 +22,6 @@ import (
 	"repro/internal/analysis/passes/determinism"
 	"repro/internal/analysis/passes/lockdiscipline"
 	"repro/internal/analysis/passes/oracletaxonomy"
-	"repro/internal/analysis/passes/poolownership"
 	"repro/internal/analysis/unitchecker"
 )
 
@@ -33,6 +30,5 @@ func main() {
 		determinism.Analyzer,
 		lockdiscipline.Analyzer,
 		oracletaxonomy.Analyzer,
-		poolownership.Analyzer,
 	)
 }

@@ -1,6 +1,6 @@
 // Package determinism enforces the pipeline's bit-identical reproducibility
-// contract: every equivalence suite (ingress, batch repair, pooling, fault
-// matrix) asserts that a fixed seed produces identical assignments, so no
+// contract: every equivalence suite (ingress, batch repair, sharding,
+// fault matrix) asserts that a fixed seed produces identical assignments, so no
 // output-affecting control flow in the deterministic packages may read the
 // wall clock, global PRNG state, or unordered map/select scheduling.
 package determinism

@@ -11,7 +11,7 @@ import (
 // Rules is the registry of rule names //vetkit:allow may suppress — the
 // analyzer names shipped by cmd/vetkit. Annotations naming anything else
 // are rejected so a typo cannot silently disable nothing.
-var Rules = []string{"determinism", "lockdiscipline", "oracletaxonomy", "poolownership"}
+var Rules = []string{"determinism", "lockdiscipline", "oracletaxonomy"}
 
 func knownRule(name string) bool {
 	for _, r := range Rules {

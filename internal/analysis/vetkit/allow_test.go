@@ -148,7 +148,7 @@ func TestAllowWrongRule(t *testing.T) {
 	diags := runOn(t, `package p
 
 func f() int {
-	return 1 //vetkit:allow poolownership wrong rule for this finding
+	return 1 //vetkit:allow lockdiscipline wrong rule for this finding
 }
 `)
 	if len(diags) != 1 {

@@ -89,6 +89,7 @@ type Tree struct {
 	pickAt  []float64 // walk scratch, len == len(trips)
 	onboard int       // walk scratch: passengers in the vehicle at the branch point
 	nodes   int       // node count of the committed tree
+	gen     uint64    // mutations (Commit, Advance, SetLocation) so far
 	stale   bool      // lazy invalidation: movement since the last revalidation
 	ins     inserter  // per-trial scratch; reused so trials allocate no inserter
 }
@@ -185,27 +186,23 @@ func (t *Tree) ActiveTripStates(out []TripState) []TripState {
 // Candidate is the outcome of a successful TrialInsert: a fully built new
 // tree that includes the trial trip, ready to be adopted with Commit. The
 // originating tree is not modified until then.
+//
+// A candidate's nodes are all fresh: its forest shares no node with the
+// committed tree or with any other candidate, because SetLocation and the
+// revalidators mutate committed nodes in place. Only the stops/intra
+// backing arrays are shared between a node and its copies, and they are
+// never written through.
 type Candidate struct {
 	Cost     float64 // total cost of the best schedule in the new tree
-	tripIdx  int
+	gen      uint64  // the tree's mutation count when the trial ran
 	trip     TripState
 	children []*treeNode
-	nodes    int
 }
 
-// Release returns the candidate's nodes to the pool. Call it when the
-// candidate has definitively lost — it will never be committed. Releasing
-// a candidate that was already committed (or already released) is a no-op:
-// Commit and Release both detach the forest, so a blanket release sweep
-// over every trial of a request is safe after the winner commits.
-func (c *Candidate) Release() {
-	if c == nil || c.children == nil {
-		return
-	}
-	freeForest(c.children)
-	c.children = nil
-	c.nodes = 0
-}
+// Release does nothing: tree nodes are garbage-collected, so a dropped
+// candidate needs no cleanup. It stays only because benchmark/probes.go,
+// frozen, calls it.
+func (c *Candidate) Release() {}
 
 // ErrTooManyTrips is returned when a server would exceed the per-server
 // active-trip limit imposed by the walk bitmask width.
@@ -257,10 +254,9 @@ func (t *Tree) TrialInsert(trip TripState) (*Candidate, bool, error) {
 	cost := bestCost(children)
 	return &Candidate{
 		Cost:     cost,
-		tripIdx:  idx,
+		gen:      t.gen,
 		trip:     trip,
 		children: children,
-		nodes:    ins.created,
 	}, true, nil
 }
 
@@ -268,26 +264,17 @@ func (t *Tree) TrialInsert(trip TripState) (*Candidate, bool, error) {
 // the tree's last mutation (a Commit, Advance, or SetLocation).
 // Intervening TrialInserts are harmless — they leave the tree untouched,
 // so any number of candidates may be held and one of them committed (the
-// batch planner retains candidates across a whole flush this way); the
-// tripIdx check below rejects exactly the candidates that predate a
-// mutation.
+// batch planner retains candidates across a whole flush this way).
+// Committing a candidate that predates a mutation panics.
 func (t *Tree) Commit(c *Candidate) {
-	if c.tripIdx != len(t.trips) {
+	if c.gen != t.gen {
 		panic("core: Commit with stale candidate")
 	}
+	t.gen++
 	t.trips = append(t.trips, c.trip)
 	t.done = append(t.done, false)
 	t.pickAt = append(t.pickAt, -1)
-	old := t.children
 	t.children = c.children
-	// The candidate is consumed: detach its forest so a later Release
-	// (engines sweep-release every trial of a request) cannot free the
-	// nodes the tree now owns.
-	c.children = nil
-	// The replaced committed forest is dead. Its stops/intra arrays may
-	// live on in other retained candidates' copies; freeing nils only the
-	// headers.
-	freeForest(old)
 	t.refreshAll()
 }
 
@@ -406,7 +393,6 @@ func (ins *inserter) insertList(children []*treeNode, from roadnet.VertexID, at 
 	// Hotspot merge and descent options, per existing child.
 	for _, c := range children {
 		if ins.overBudget {
-			freeForest(out)
 			return nil, false
 		}
 		if t.opts.HotspotTheta > 0 && t.withinTheta(c, P[0].Vertex) {
@@ -430,20 +416,16 @@ func (ins *inserter) insertList(children []*treeNode, from roadnet.VertexID, at 
 		for i := len(c.stops) - 1; i >= 0; i-- {
 			t.unvisitStop(c.stops[i])
 		}
-		if ok {
-			if !ins.alloc() {
-				freeForest(nc)
-				continue
-			}
-			nn := newNode()
-			nn.stops = c.stops
-			nn.leg = c.leg
-			nn.intra = c.intra
-			nn.intraSum = c.intraSum
-			nn.children = nc
-			nn.dmax = c.dmax
-			nn.dmin = c.dmin
-			out = append(out, nn)
+		if ok && ins.alloc() {
+			out = append(out, &treeNode{
+				stops:    c.stops,
+				leg:      c.leg,
+				intra:    c.intra,
+				intraSum: c.intraSum,
+				children: nc,
+				dmax:     c.dmax,
+				dmin:     c.dmin,
+			})
 		}
 	}
 
@@ -477,9 +459,7 @@ func (ins *inserter) newNodeHere(children []*treeNode, from roadnet.VertexID, at
 	if !ins.alloc() {
 		return nil
 	}
-	n := newNode()
-	n.stops = []Stop{P[0]}
-	n.leg = leg
+	n := &treeNode{stops: []Stop{P[0]}, leg: leg}
 	if d, windowed := t.slackOf(P[0], arrive); windowed {
 		n.dmax = math.Inf(1)
 		n.dmin = d
@@ -509,22 +489,18 @@ func (ins *inserter) newNodeHere(children []*treeNode, from roadnet.VertexID, at
 			}
 		}
 		if len(shifted) == 0 {
-			freeNode(n) // every continuation died: placement infeasible
-			return nil
+			return nil // every continuation died: placement infeasible
 		}
 		n.children = shifted
 	}
 	if len(P) > 1 {
+		// The shifted intermediates are only inputs to the deeper insert;
+		// the output forest contains fresh copies of the survivors.
 		nc, ok := ins.insertList(n.children, P[0].Vertex, arrive, P[1:])
 		if !ok {
-			freeTree(n) // frees the shifted copies along with n
 			return nil
 		}
-		// The shifted intermediates were only inputs to the deeper insert;
-		// the output forest contains fresh copies of the survivors.
-		old := n.children
 		n.children = nc
-		freeForest(old)
 	}
 	// Aggregate slack over the final children.
 	if len(n.children) > 0 {
@@ -574,13 +550,14 @@ func (ins *inserter) copyShifted(c *treeNode, newLeg, at, detour float64) *treeN
 	}
 	var nn *treeNode
 	if okStops {
-		nn = newNode()
-		nn.stops = c.stops
-		nn.leg = newLeg
-		nn.intra = c.intra
-		nn.intraSum = c.intraSum
-		nn.dmax = c.dmax - detour
-		nn.dmin = c.dmin - detour
+		nn = &treeNode{
+			stops:    c.stops,
+			leg:      newLeg,
+			intra:    c.intra,
+			intraSum: c.intraSum,
+			dmax:     c.dmax - detour,
+			dmin:     c.dmin - detour,
+		}
 		if len(c.children) > 0 {
 			for _, gc := range c.children {
 				if t.opts.Slack && detour > gc.dmax+slackEps {
@@ -591,8 +568,7 @@ func (ins *inserter) copyShifted(c *treeNode, newLeg, at, detour float64) *treeN
 				}
 			}
 			if len(nn.children) == 0 {
-				freeNode(nn) // incomplete schedules are invalid
-				nn = nil
+				nn = nil // incomplete schedules are invalid
 			}
 		}
 	}
@@ -605,21 +581,20 @@ func (ins *inserter) copyShifted(c *treeNode, newLeg, at, detour float64) *treeN
 // plainCopy duplicates a subtree without constraint checks (used when the
 // slack bound certifies every branch survives the detour).
 func (ins *inserter) plainCopy(c *treeNode, newLeg, detour float64) *treeNode {
-	nn := newNode()
-	nn.stops = c.stops
-	nn.leg = newLeg
-	nn.intra = c.intra
-	nn.intraSum = c.intraSum
-	nn.dmax = c.dmax - detour
-	nn.dmin = c.dmin - detour
+	nn := &treeNode{
+		stops:    c.stops,
+		leg:      newLeg,
+		intra:    c.intra,
+		intraSum: c.intraSum,
+		dmax:     c.dmax - detour,
+		dmin:     c.dmin - detour,
+	}
 	for _, gc := range c.children {
 		if !ins.alloc() {
-			freeTree(nn)
 			return nil
 		}
 		cc := ins.plainCopy(gc, gc.leg, detour)
 		if cc == nil { // a deeper copy ran over budget
-			freeTree(nn)
 			return nil
 		}
 		nn.children = append(nn.children, cc)
@@ -678,11 +653,7 @@ func (ins *inserter) mergeInto(c *treeNode, from roadnet.VertexID, at float64, P
 	intra := make([]float64, len(c.intra)+1)
 	copy(intra, c.intra)
 	intra[len(c.intra)] = add
-	nn := newNode()
-	nn.stops = stops
-	nn.leg = c.leg
-	nn.intra = intra
-	nn.intraSum = c.intraSum + add
+	nn := &treeNode{stops: stops, leg: c.leg, intra: intra, intraSum: c.intraSum + add}
 	t.visitStop(P[0], arrive)
 	visited = append(visited, P[0])
 	// Children now depart from P[0].Vertex instead of oldLast and are
@@ -702,19 +673,15 @@ func (ins *inserter) mergeInto(c *treeNode, from roadnet.VertexID, at float64, P
 			}
 		}
 		if len(nn.children) == 0 {
-			freeNode(nn)
 			return nil
 		}
 	}
 	if len(P) > 1 {
 		nc, ok := ins.insertList(nn.children, P[0].Vertex, arrive, P[1:])
 		if !ok {
-			freeTree(nn)
 			return nil
 		}
-		old := nn.children
 		nn.children = nc
-		freeForest(old)
 	}
 	return nn
 }
@@ -813,6 +780,7 @@ func (t *Tree) Advance() ([]Served, error) {
 	if c == nil {
 		return nil, errors.New("core: Advance on empty tree")
 	}
+	t.gen++
 	served := make([]Served, 0, len(c.stops))
 	arrive := t.odo + c.leg
 	for i, s := range c.stops {
@@ -830,16 +798,7 @@ func (t *Tree) Advance() ([]Served, error) {
 	}
 	t.odo = arrive
 	t.loc = c.lastVertex()
-	old := t.children
-	t.children = c.children
-	// The served node and its pruned sibling schedules (Lemma 1) are dead.
-	for _, sib := range old {
-		if sib != c {
-			freeTree(sib)
-		}
-	}
-	c.children = nil
-	freeNode(c)
+	t.children = c.children // sibling schedules are pruned (Lemma 1)
 	if t.Empty() {
 		// All trips served: recycle the slot arrays.
 		t.trips = t.trips[:0]
@@ -862,6 +821,7 @@ func (t *Tree) SetLocation(v roadnet.VertexID, odo float64) {
 	if v == t.loc && odo == t.odo {
 		return
 	}
+	t.gen++
 	moved := odo - t.odo
 	t.loc = v
 	t.odo = odo
@@ -924,9 +884,8 @@ func (t *Tree) pruneEager(moved float64) {
 			continue
 		}
 		if cc := ins.copyShifted(c, newLeg, t.odo, detour); cc != nil {
-			kept = append(kept, cc)
+			kept = append(kept, cc) // c is replaced by its shifted copy
 		}
-		freeTree(c) // replaced by the shifted copy (or pruned entirely)
 	}
 	t.children = kept
 	t.refreshAll()
@@ -941,8 +900,6 @@ func (t *Tree) revalidateLazy() {
 	for _, c := range t.children {
 		if cc := t.revalidateNode(c, t.odo); cc != nil {
 			kept = append(kept, cc)
-		} else {
-			freeTree(c)
 		}
 	}
 	t.children = kept
@@ -979,8 +936,6 @@ func (t *Tree) revalidateNode(n *treeNode, at float64) *treeNode {
 	for _, c := range n.children {
 		if cc := t.revalidateNode(c, arrive); cc != nil {
 			kept = append(kept, cc)
-		} else {
-			freeTree(c)
 		}
 	}
 	n.children = kept

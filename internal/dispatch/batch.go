@@ -220,21 +220,10 @@ func (e *Engine) flushAt(t float64) {
 			e.assigned[req.ID] = best.veh
 			e.ring.Emit(obs.KindMatched, req.ID, req.Time, int64(best.veh))
 		}
-		// This request's retained trials (and any repair retrials) are
-		// consumed: sweep-release every candidate tree — the committed one
-		// was consumed by Commit, so its release is a no-op — and hand the
-		// retention buffers back to their shards for the next flush.
-		if dirtyCount > 0 {
-			for _, s := range needy {
-				fresh[s.id].trial.Release()
-				fresh[s.id] = shardBest{veh: -1}
-			}
-		}
+		// This request's retained trials are consumed: hand the retention
+		// buffers back to their shards for the next flush.
 		for sid := range p1[i] {
 			p := &p1[i][sid]
-			for j := range p.feas {
-				p.feas[j].trial.Release()
-			}
 			if p.feas != nil {
 				clear(p.feas) // drop candidate pointers before pooling
 				e.shards[sid].feasFree = append(e.shards[sid].feasFree, p.feas[:0])

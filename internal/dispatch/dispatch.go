@@ -368,10 +368,7 @@ func (s *shard) trial(cfg *sim.Config, req sim.Request, px, py, waitMeters, eps,
 			continue
 		}
 		if b := (shardBest{veh: int(id), trial: tr}); better(b, best) {
-			best.trial.Release() // dethroned candidate will never commit
 			best = b
-		} else {
-			tr.Release()
 		}
 	}
 	s.ring.Emit(obs.KindTrialed, req.ID, req.Time, int64(len(s.cand)))
@@ -448,10 +445,7 @@ func (s *shard) retrial(cfg *sim.Config, req sim.Request, px, py, waitMeters, ep
 			continue
 		}
 		if b := (shardBest{veh: id, trial: tr}); better(b, best) {
-			best.trial.Release() // dethroned candidate will never commit
 			best = b
-		} else {
-			tr.Release()
 		}
 	}
 	return best
@@ -511,13 +505,6 @@ func (e *Engine) Submit(req sim.Request) (matched bool, vehID int) {
 	if best.veh >= 0 {
 		s := e.shards[ShardIndex(int64(best.veh), len(e.shards))]
 		s.w.Commit(s.vehicle(best.veh), best.trial)
-	}
-	// Losing shard winners will never commit; the committed trial's
-	// candidate was consumed above, so its release is a no-op. Entries are
-	// zeroed so the scratch buffer retains no candidate pointers.
-	for i := range e.bests {
-		e.bests[i].trial.Release()
-		e.bests[i] = shardBest{veh: -1}
 	}
 
 	if best.veh < 0 {

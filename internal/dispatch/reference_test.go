@@ -75,10 +75,7 @@ func (r *refMatcher) Submit(req sim.Request) (matched bool, vehID int) {
 			continue
 		}
 		if bestVeh < 0 || tr.Cost < best.Cost {
-			best.Release()
 			best, bestVeh = tr, int(id)
-		} else {
-			tr.Release()
 		}
 	}
 	r.metrics.AddACRT(0) // one sample per request; the Engine's value is wall time

@@ -104,10 +104,8 @@ func replayTree(tab sp.Oracle, in *core.Instance) (time.Duration, bool) {
 		return time.Since(start), false
 	}
 	start = time.Now()
-	cand, ok, err := tree.TrialInsert(in.Trips[k])
-	d := time.Since(start)
-	cand.Release()
-	return d, ok && err == nil
+	_, ok, err := tree.TrialInsert(in.Trips[k])
+	return time.Since(start), ok && err == nil
 }
 
 // timeSchedule times one Schedule call of a scheduler built on tab.

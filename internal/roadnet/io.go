@@ -88,7 +88,9 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 	if n > maxReasonable || m > maxReasonable {
 		return nil, fmt.Errorf("roadnet: implausible sizes n=%d m=%d", n, m)
 	}
-	b := NewBuilder(int(n))
+	// Vertices and edges are appended as they are read, so a header that
+	// overstates the counts costs no more memory than the input holds.
+	b := NewBuilder(0)
 	for i := uint32(0); i < n; i++ {
 		var x, y float64
 		if err := binary.Read(br, binary.LittleEndian, &x); err != nil {
@@ -97,10 +99,10 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 		if err := binary.Read(br, binary.LittleEndian, &y); err != nil {
 			return nil, fmt.Errorf("roadnet: reading coord %d: %w", i, err)
 		}
-		if math.IsNaN(x) || math.IsNaN(y) {
-			return nil, fmt.Errorf("roadnet: NaN coordinate at vertex %d", i)
+		if math.IsNaN(x) || math.IsNaN(y) || math.IsInf(x, 0) || math.IsInf(y, 0) {
+			return nil, fmt.Errorf("roadnet: non-finite coordinate at vertex %d", i)
 		}
-		b.SetCoord(VertexID(i), x, y)
+		b.AddVertex(x, y)
 	}
 	for i := uint32(0); i < m; i++ {
 		var u, v uint32

@@ -2,8 +2,11 @@ package roadnet
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -175,26 +178,35 @@ func TestGraphRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := sameGraph(g, g2); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameGraph reports the first difference between two graphs' vertices,
+// coordinates and adjacency lists.
+func sameGraph(g, g2 *Graph) error {
 	if g2.N() != g.N() || g2.M() != g.M() {
-		t.Fatalf("round trip size mismatch: %d/%d vs %d/%d", g2.N(), g2.M(), g.N(), g.M())
+		return fmt.Errorf("size mismatch: %d/%d vs %d/%d", g2.N(), g2.M(), g.N(), g.M())
 	}
 	for v := 0; v < g.N(); v++ {
 		x1, y1 := g.Coord(VertexID(v))
 		x2, y2 := g2.Coord(VertexID(v))
 		if x1 != x2 || y1 != y2 {
-			t.Fatalf("coord mismatch at %d", v)
+			return fmt.Errorf("coord mismatch at %d", v)
 		}
 		t1, w1 := g.Neighbors(VertexID(v))
 		t2, w2 := g2.Neighbors(VertexID(v))
 		if len(t1) != len(t2) {
-			t.Fatalf("degree mismatch at %d", v)
+			return fmt.Errorf("degree mismatch at %d", v)
 		}
 		for i := range t1 {
 			if t1[i] != t2[i] || w1[i] != w2[i] {
-				t.Fatalf("adjacency mismatch at %d", v)
+				return fmt.Errorf("adjacency mismatch at %d", v)
 			}
 		}
 	}
+	return nil
 }
 
 func TestReadGraphRejectsGarbage(t *testing.T) {
@@ -204,6 +216,60 @@ func TestReadGraphRejectsGarbage(t *testing.T) {
 	if _, err := ReadGraph(bytes.NewReader(nil)); err == nil {
 		t.Fatal("expected error for empty input")
 	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var buf bytes.Buffer
+		buf.WriteString(graphMagic)
+		binary.Write(&buf, binary.LittleEndian, []uint32{2, 0})
+		binary.Write(&buf, binary.LittleEndian, []float64{0, 0, bad, 1})
+		if _, err := ReadGraph(&buf); err == nil {
+			t.Errorf("coordinate %v accepted", bad)
+		}
+	}
+}
+
+// TestReadGraphHugeHeader: a 12-byte header may claim 2^28 vertices; the
+// reader must fail on the missing coordinates without first allocating
+// for all of them.
+func TestReadGraphHugeHeader(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadGraph(bytes.NewReader(hugeHeader())); err == nil {
+		t.Fatal("a header with no coordinates was accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
+		t.Fatalf("rejecting a 12-byte header allocated %d MiB", alloc>>20)
+	}
+}
+
+// hugeHeader is a graph header claiming 2^28 vertices and no edges, with
+// nothing after it.
+func hugeHeader() []byte {
+	return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32([]byte(graphMagic), 1<<28), 0)
+}
+
+// FuzzReadGraph: no input makes ReadGraph panic, and every graph it
+// accepts survives a WriteTo/ReadGraph round trip unchanged. The seed
+// corpus under testdata/fuzz holds a written grid, truncations of it and
+// the huge header.
+func FuzzReadGraph(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadGraph(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := g.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		g2, err := ReadGraph(&buf)
+		if err != nil {
+			t.Fatalf("re-reading a written graph: %v", err)
+		}
+		if err := sameGraph(g, g2); err != nil {
+			t.Fatalf("round trip: %v", err)
+		}
+	})
 }
 
 // TestNearestMatchesBruteForce is a property test for the vertex locator.

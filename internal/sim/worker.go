@@ -145,14 +145,6 @@ type Trial struct {
 	trip     core.TripState
 }
 
-// Release returns the trial's retained candidate tree to the node pool.
-// Call it when the trial has definitively lost and will never be
-// committed; releasing a trial whose candidate was already committed (or
-// already released) is a no-op, so the engine may sweep-release every trial
-// of a request after the winner commits. A released trial must not be
-// committed afterwards.
-func (tr Trial) Release() { tr.treeCand.Release() }
-
 // Trial trial-schedules req on v, which must already be advanced to the
 // request time. (px, py) are the pickup coordinates; vehicles whose exact
 // position lies beyond the waiting budget are skipped (Euclidean distance

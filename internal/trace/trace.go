@@ -198,7 +198,7 @@ func ReadCSV(r io.Reader, g *roadnet.Graph) ([]sim.Request, error) {
 			return nil, fmt.Errorf("trace: line %d: bad id %q", line, rec[0])
 		}
 		t, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
+		if err != nil || math.IsNaN(t) || math.IsInf(t, 0) {
 			return nil, fmt.Errorf("trace: line %d: bad time %q", line, rec[1])
 		}
 		pu, err := strconv.ParseInt(rec[2], 10, 32)

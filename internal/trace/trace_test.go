@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -180,6 +181,14 @@ func TestReadCSVErrors(t *testing.T) {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
+	// Non-finite times would break the (Time, ID) sort and the engine
+	// clock; the error names the offending line.
+	for _, bad := range []string{"NaN", "Inf", "-Inf", "+inf"} {
+		_, err := ReadCSV(strings.NewReader("id,time,pickup,dropoff\n1,0,0,1\n2,"+bad+",0,1\n"), g)
+		if err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("time %q: got %v, want an error on line 3", bad, err)
+		}
+	}
 }
 
 // TestReadCSVSortsTiesByID: coarse real-trace timestamps make ties routine;
@@ -198,4 +207,55 @@ func TestReadCSVSortsTiesByID(t *testing.T) {
 			t.Fatalf("order %v, want %v", []int64{got[0].ID, got[1].ID, got[2].ID}, want)
 		}
 	}
+}
+
+// FuzzReadCSV: no input makes ReadCSV panic, and whatever it accepts is in
+// (Time, ID) order with unique IDs and in-range vertices, and survives a
+// WriteCSV/ReadCSV round trip with times rounded to the written
+// millisecond. The seed corpus lives under testdata/fuzz.
+func FuzzReadCSV(f *testing.F) {
+	g := testGraph(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reqs, err := ReadCSV(bytes.NewReader(data), g)
+		if err != nil {
+			return
+		}
+		seen := make(map[int64]sim.Request, len(reqs))
+		for i, r := range reqs {
+			if i > 0 {
+				p := reqs[i-1]
+				if p.Time > r.Time || (p.Time == r.Time && p.ID >= r.ID) {
+					t.Fatalf("rows %d,%d out of (Time, ID) order: %+v then %+v", i-1, i, p, r)
+				}
+			}
+			if _, dup := seen[r.ID]; dup {
+				t.Fatalf("duplicate id %d", r.ID)
+			}
+			seen[r.ID] = r
+			if r.Pickup < 0 || int(r.Pickup) >= g.N() || r.Dropoff < 0 || int(r.Dropoff) >= g.N() {
+				t.Fatalf("vertex out of range: %+v", r)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteCSV(&buf, reqs); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadCSV(&buf, g)
+		if err != nil {
+			t.Fatalf("re-reading written requests: %v", err)
+		}
+		if len(again) != len(reqs) {
+			t.Fatalf("round trip kept %d of %d requests", len(again), len(reqs))
+		}
+		for _, r := range again {
+			want, ok := seen[r.ID]
+			if !ok {
+				t.Fatalf("round trip invented id %d", r.ID)
+			}
+			wantT, _ := strconv.ParseFloat(strconv.FormatFloat(want.Time, 'f', 3, 64), 64)
+			if r.Time != wantT || r.Pickup != want.Pickup || r.Dropoff != want.Dropoff {
+				t.Fatalf("round trip changed %+v into %+v", want, r)
+			}
+		}
+	})
 }
