@@ -10,7 +10,7 @@ import (
 	"os"
 
 	"repro/internal/roadnet"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -41,7 +41,8 @@ func run(graphPath string, trips int, horizon float64, hotspots int, frac float6
 	if err != nil {
 		return err
 	}
-	reqs, err := trace.Generate(g, trace.GenOptions{
+	gen, err := workload.New(g, workload.Options{
+		Pattern:        workload.Surge,
 		Trips:          trips,
 		HorizonSeconds: horizon,
 		Hotspots:       hotspots,
@@ -51,12 +52,19 @@ func run(graphPath string, trips int, horizon float64, hotspots int, frac float6
 	if err != nil {
 		return err
 	}
+	reqs := gen.All()
+	if err := gen.Err(); err != nil {
+		return err
+	}
 	of, err := os.Create(out)
 	if err != nil {
 		return err
 	}
-	defer of.Close()
-	if err := trace.WriteCSV(of, reqs); err != nil {
+	err = workload.WriteCSV(of, reqs)
+	if cerr := of.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s: %d requests over %.1f hours on %d vertices\n", out, len(reqs), horizon/3600, g.N())

@@ -53,7 +53,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/roadnet"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -121,8 +120,8 @@ func main() {
 	}
 }
 
-// loadWorld reads -graph (and -trips, or generates a default trace over
-// it), or builds the synthetic city and workload at -scale.
+// loadWorld reads -graph (and -trips, or draws a default 2,000-request
+// Surge day over it), or builds the synthetic city and workload at -scale.
 func loadWorld(o options) (*roadnet.Graph, []sim.Request, error) {
 	if o.graphPath == "" {
 		world, err := exp.BuildWorld(exp.WorldOptions{Scale: o.scale, Seed: o.spec.Seed})
@@ -141,14 +140,18 @@ func loadWorld(o options) (*roadnet.Graph, []sim.Request, error) {
 		return nil, nil, err
 	}
 	if o.tripsPath == "" {
-		reqs, err := trace.Generate(g, trace.GenOptions{Trips: 2000, Seed: o.spec.Seed})
-		return g, reqs, err
+		gen, err := workload.New(g, workload.Options{Pattern: workload.Surge, Trips: 2000, Seed: o.spec.Seed})
+		if err != nil {
+			return nil, nil, err
+		}
+		reqs := gen.All()
+		return g, reqs, gen.Err()
 	}
 	tf, err := os.Open(o.tripsPath)
 	if err != nil {
 		return nil, nil, err
 	}
-	reqs, err := trace.ReadCSV(tf, g)
+	reqs, err := workload.ReadCSV(tf, g)
 	tf.Close()
 	return g, reqs, err
 }

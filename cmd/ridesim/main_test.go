@@ -6,14 +6,17 @@ import (
 	"errors"
 	"flag"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/exp"
 	"repro/internal/ingest"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // goldenArgs is the run testdata/golden.json holds: the -json snapshot of
@@ -57,7 +60,9 @@ func ridesim(t *testing.T, args ...string) (string, error) {
 	return out.String(), err
 }
 
-func TestGoldenJSON(t *testing.T) {
+// golden reads testdata/golden.json's seed-exact fields.
+func golden(t *testing.T) seedExact {
+	t.Helper()
 	raw, err := os.ReadFile("testdata/golden.json")
 	if err != nil {
 		t.Fatal(err)
@@ -69,6 +74,25 @@ func TestGoldenJSON(t *testing.T) {
 	if want.Matched == 0 || want.TrialCalls == 0 {
 		t.Fatalf("golden is empty: %+v", want)
 	}
+	return want
+}
+
+// seedExactOf runs ridesim with args and decodes its -json snapshot.
+func seedExactOf(t *testing.T, args ...string) seedExact {
+	t.Helper()
+	out, err := ridesim(t, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got seedExact
+	if err := json.Unmarshal([]byte(out), &got); err != nil {
+		t.Fatalf("stdout is not one JSON snapshot: %v\n%s", err, out)
+	}
+	return got
+}
+
+func TestGoldenJSON(t *testing.T) {
+	want := golden(t)
 	for _, extra := range [][]string{
 		nil, // default flags
 		{"-workers", "4"},
@@ -77,18 +101,49 @@ func TestGoldenJSON(t *testing.T) {
 		{"-fault-plan", "none"},
 	} {
 		t.Run(strings.Join(extra, " "), func(t *testing.T) {
-			out, err := ridesim(t, append(append([]string{}, goldenArgs...), extra...)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got seedExact
-			if err := json.Unmarshal([]byte(out), &got); err != nil {
-				t.Fatalf("stdout is not one JSON snapshot: %v\n%s", err, out)
-			}
+			got := seedExactOf(t, append(append([]string{}, goldenArgs...), extra...)...)
 			if got != want {
 				t.Fatalf("seed-exact metrics drifted from the golden:\n got %+v\nwant %+v", got, want)
 			}
 		})
+	}
+}
+
+// TestFileReplayMatchesGolden: the golden run's world written to files —
+// the graph in RNG1 format, its requests as CSV with millisecond times —
+// and replayed through -graph/-trips gives the golden's seed-exact
+// metrics, so the file path and the -scale path are one run.
+func TestFileReplayMatchesGolden(t *testing.T) {
+	want := golden(t)
+	world, err := exp.BuildWorld(exp.WorldOptions{Scale: 0.002, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	graphPath, tripsPath := filepath.Join(dir, "city.bin"), filepath.Join(dir, "trips.csv")
+	gf, err := os.Create(graphPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := world.Graph.WriteTo(gf); err != nil {
+		t.Fatal(err)
+	}
+	if err := gf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tf, err := os.Create(tripsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := workload.WriteCSV(tf, world.Requests); err != nil {
+		t.Fatal(err)
+	}
+	if err := tf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := seedExactOf(t, "-graph", graphPath, "-trips", tripsPath, "-servers", "40", "-seed", "7", "-json")
+	if got != want {
+		t.Fatalf("file replay drifted from the golden:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -14,8 +14,9 @@
 //	                outputs must be bit-identical across runs
 //	oracletaxonomy  per-goroutine sp.Oracle values never cross goroutine
 //	                boundaries (only SharedOracle / WorkerSource facades do)
-//	lockdiscipline  no lock-containing values copied by value; sim.Metrics
-//	                and obs.Histogram merge only via their merge functions
+//	lockdiscipline  sim.Metrics, obs.Histogram and obs.Attribution are not
+//	                copied by value and merge only via their merge functions
+//	                (lock copies are go vet's own copylocks check)
 package main
 
 import (

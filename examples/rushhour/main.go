@@ -1,11 +1,11 @@
 // Rushhour: a fleet-scale comparison on a synthetic city with a morning and
 // evening demand peak — the setting of the paper's §VI evaluation, scaled to
-// run in seconds. The day of demand is drawn from the streaming workload
-// generator's surge mode (internal/workload, non-homogeneous Poisson over
-// the double rush-hour curve) and enters through the concurrent ingress
-// gateway (internal/ingest): four producer goroutines submit the stream,
-// and the stamped-order drain feeds the dispatch engine the identical
-// time-sorted demand a single producer would have produced.
+// run in seconds. The day of demand is drawn from the workload
+// generator's surge mode (internal/workload, a fixed number of arrivals
+// drawn from the double rush-hour curve) and enters through the
+// concurrent ingress gateway (internal/ingest): four producer goroutines
+// submit the stream, and the stamped-order drain feeds the dispatch engine
+// the identical time-sorted demand a single producer would have produced.
 // The gateway runs shed-oldest with enough queue capacity for the whole
 // day, and the run asserts that nothing was actually shed at that
 // configured capacity.
@@ -44,9 +44,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// One materialized day, streamed through the gateway. (The surge
-	// process can end at the horizon before reaching the Trips cap, so the
-	// header counts the actual day, not the cap.)
+	// One materialized day of exactly trips requests, streamed through the
+	// gateway.
 	gen, err := workload.New(g, workload.Options{Pattern: workload.Surge, Trips: trips, Seed: 7})
 	if err != nil {
 		log.Fatal(err)

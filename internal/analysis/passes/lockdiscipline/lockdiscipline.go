@@ -1,17 +1,13 @@
-// Package lockdiscipline enforces two copy/merge invariants repo-wide:
-//
-//   - lock-by-value: a value whose type (transitively) contains a sync
-//     primitive must not be copied — by assignment, by-value parameter or
-//     receiver, or range value variable. Copies fork the lock state.
-//   - merge discipline: sim.Metrics, obs.Histogram, and the critical-path
-//     aggregates obs.Attribution / obs.StageStats aggregate only through
-//     their documented merge functions (Metrics.Merge,
-//     Histogram.Merge/CopyFrom, Attribution.Merge — StageStats rides
-//     inside an Attribution and has no standalone merge). Value copies
-//     alias the histogram pointers inside, and field-by-field merges
-//     silently miss fields added later — both have bitten concurrent
-//     metric aggregation before, so they are banned outside the defining
-//     packages.
+// Package lockdiscipline enforces the merge discipline repo-wide:
+// sim.Metrics, obs.Histogram, and the critical-path aggregates
+// obs.Attribution / obs.StageStats aggregate only through their documented
+// merge functions (Metrics.Merge, Histogram.Merge/CopyFrom,
+// Attribution.Merge — StageStats rides inside an Attribution and has no
+// standalone merge). Value copies alias the histogram pointers inside, and
+// field-by-field merges silently miss fields added later — both have
+// bitten concurrent metric aggregation before, so they are banned outside
+// the defining packages. Copies of values that contain a sync primitive
+// are go vet's copylocks check, which CI runs.
 package lockdiscipline
 
 import (
@@ -24,8 +20,8 @@ import (
 
 var Analyzer = &vetkit.Analyzer{
 	Name: "lockdiscipline",
-	Doc: "no lock-containing values copied by value; sim.Metrics, obs.Histogram, " +
-		"and obs.Attribution/StageStats merge only via their documented merge functions",
+	Doc: "sim.Metrics, obs.Histogram, and obs.Attribution/StageStats are not copied by value " +
+		"and merge only via their documented merge functions",
 	Run: run,
 }
 
@@ -40,7 +36,6 @@ var mergeOnly = []struct{ pkg, name, via string }{
 
 type checker struct {
 	pass *vetkit.Pass
-	seen map[types.Type]bool
 }
 
 func run(pass *vetkit.Pass) error {
@@ -74,7 +69,7 @@ func (c *checker) visit(n ast.Node) bool {
 	return true
 }
 
-// checkFields flags by-value parameters and receivers of guarded types.
+// checkFields flags by-value parameters and receivers of merge-only types.
 func (c *checker) checkFields(fl *ast.FieldList, kind string) {
 	for _, field := range fl.List {
 		t := c.pass.TypesInfo.TypeOf(field.Type)
@@ -82,7 +77,7 @@ func (c *checker) checkFields(fl *ast.FieldList, kind string) {
 	}
 }
 
-// checkAssign flags assignments that copy a guarded value and hand-rolled
+// checkAssign flags assignments that copy a merge-only value and hand-rolled
 // field-by-field merges of merge-only types.
 func (c *checker) checkAssign(n *ast.AssignStmt) {
 	for i, rhs := range n.Rhs {
@@ -111,19 +106,9 @@ func copiesExisting(e ast.Expr) bool {
 	}
 }
 
-// checkCopy reports a diagnostic when t is a non-pointer type that must
-// not be copied by value.
+// checkCopy reports a diagnostic when t is a merge-only type copied by
+// value outside its defining package.
 func (c *checker) checkCopy(pos token.Pos, t types.Type, how string) {
-	if t == nil {
-		return
-	}
-	if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-		return
-	}
-	if path := c.lockPath(t); path != "" {
-		c.pass.Reportf(pos, "%s %s, which contains %s: copying forks the lock state; use a pointer", how, typeName(t), path)
-		return
-	}
 	if mo := c.mergeOnlyType(t); mo != nil && !c.inDefiningPkg(t) {
 		c.pass.Reportf(pos, "%s %s by value: it aggregates only through %s (value copies alias its internal histograms)", how, typeName(t), mo.via)
 	}
@@ -183,39 +168,6 @@ func (c *checker) mergeOnlyType(t types.Type) *struct{ pkg, name, via string } {
 func (c *checker) inDefiningPkg(t types.Type) bool {
 	named, ok := t.(*types.Named)
 	return ok && named.Obj().Pkg() == c.pass.Pkg
-}
-
-// lockPath returns a description of the sync primitive t transitively
-// contains by value, or "".
-func (c *checker) lockPath(t types.Type) string {
-	c.seen = map[types.Type]bool{}
-	return c.findLock(t)
-}
-
-func (c *checker) findLock(t types.Type) string {
-	if t == nil || c.seen[t] {
-		return ""
-	}
-	c.seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		if pkg := named.Obj().Pkg(); pkg != nil && pkg.Path() == "sync" {
-			switch named.Obj().Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Map", "Pool":
-				return "sync." + named.Obj().Name()
-			}
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if p := c.findLock(u.Field(i).Type()); p != "" {
-				return p
-			}
-		}
-	case *types.Array:
-		return c.findLock(u.Elem())
-	}
-	return ""
 }
 
 func deref(t types.Type) types.Type {

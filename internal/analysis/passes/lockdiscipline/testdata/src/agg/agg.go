@@ -1,39 +1,9 @@
 package agg
 
 import (
-	"sync"
-
 	"obs"
 	"sim"
 )
-
-type counters struct {
-	mu sync.Mutex
-	n  int
-}
-
-func lockByValueParam(c counters) int { // want `by-value parameter copies agg\.counters, which contains sync\.Mutex`
-	return c.n
-}
-
-func lockByValueCopy(c *counters) int {
-	snapshot := *c // want `assignment copies agg\.counters, which contains sync\.Mutex`
-	return snapshot.n
-}
-
-func lockRangeCopy(cs []counters) int {
-	total := 0
-	for _, c := range cs { // want `range value copies agg\.counters, which contains sync\.Mutex`
-		total += c.n
-	}
-	return total
-}
-
-func lockByPointer(c *counters) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
 
 func metricsByValue(m sim.Metrics) int64 { // want `by-value parameter copies sim\.Metrics by value`
 	return m.Assigned

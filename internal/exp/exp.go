@@ -25,8 +25,11 @@ import (
 	"repro/internal/roadnet"
 	"repro/internal/sim"
 	"repro/internal/sp"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
+
+// ShanghaiTrips is the size of the paper's one-day trip dataset.
+const ShanghaiTrips = 432327
 
 // World is the shared experimental environment: a synthetic-Shanghai road
 // network, a cached shortest-path oracle, and a day of trip requests.
@@ -59,19 +62,24 @@ func BuildWorld(opt WorldOptions) (*World, error) {
 	}
 	trips := opt.Trips
 	if trips <= 0 {
-		trips = int(float64(trace.ShanghaiTrips) * opt.Scale)
+		trips = int(float64(ShanghaiTrips) * opt.Scale)
 		if trips < 200 {
 			trips = 200
 		}
 	}
 	// A full day: servers and trips both scale with Scale, so per-server
 	// demand stays paper-like without compressing the clock.
-	reqs, err := trace.Generate(g, trace.GenOptions{
+	gen, err := workload.New(g, workload.Options{
+		Pattern:        workload.Surge,
 		Trips:          trips,
 		HorizonSeconds: 86400,
 		Seed:           opt.Seed + 1,
 	})
 	if err != nil {
+		return nil, err
+	}
+	reqs := gen.All()
+	if err := gen.Err(); err != nil {
 		return nil, err
 	}
 	return &World{Graph: g, Requests: reqs, Scale: opt.Scale, seed: opt.Seed}, nil

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/pipeline"
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // fourAlgoDefaults returns the §VI-A default parameters scaled to the world:
@@ -250,7 +250,8 @@ func (h *Harness) Fig9c() (*Table, error) {
 // breaks off for each algorithm when it can no longer finish", §VI-B) while
 // hotspot clustering completes.
 func (h *Harness) Fig9cStress() (*Table, error) {
-	reqs, err := trace.Generate(h.World.Graph, trace.GenOptions{
+	gen, err := workload.New(h.World.Graph, workload.Options{
+		Pattern:        workload.Surge,
 		Trips:          600,
 		HorizonSeconds: 3600,
 		Hotspots:       3,
@@ -259,6 +260,10 @@ func (h *Harness) Fig9cStress() (*Table, error) {
 		Seed:           99,
 	})
 	if err != nil {
+		return nil, err
+	}
+	reqs := gen.All()
+	if err := gen.Err(); err != nil {
 		return nil, err
 	}
 	t := &Table{

@@ -18,8 +18,8 @@
 // bit-identical to feeding the engine directly (TestIngressEquivalence
 // enforces this at 1/4/8 producers × 1/4/8 workers). Note the tie rule:
 // requests with equal event times are released in ID order, so a direct
-// feed is equivalent only if it also orders ties by ID — trace.ReadCSV and
-// the workload generator both produce (Time, ID)-sorted streams.
+// feed is equivalent only if it also orders ties by ID — workload.ReadCSV
+// and the workload generator both produce (Time, ID)-sorted streams.
 //
 // Backpressure is configurable per Config.Policy: Block stalls a producer
 // on a full queue (the lossless default), ShedOldest evicts the oldest

@@ -10,7 +10,7 @@ import (
 	"repro/internal/roadnet"
 	"repro/internal/sim"
 	"repro/internal/sp"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // testWorld is a jittered 20x20 grid city and a seeded hour of requests.
@@ -22,8 +22,12 @@ func testWorld(t *testing.T, trips int) (*roadnet.Graph, []sim.Request) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs, err := trace.Generate(g, trace.GenOptions{Trips: trips, HorizonSeconds: 3600, Seed: 11})
+	gen, err := workload.New(g, workload.Options{Pattern: workload.Surge, Trips: trips, HorizonSeconds: 3600, Seed: 11})
 	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := gen.All()
+	if err := gen.Err(); err != nil {
 		t.Fatal(err)
 	}
 	return g, reqs

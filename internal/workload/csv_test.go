@@ -1,9 +1,8 @@
-package trace
+package workload
 
 import (
 	"bytes"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,7 +11,10 @@ import (
 	"repro/internal/sim"
 )
 
-func testGraph(t testing.TB) *roadnet.Graph {
+// csvGraph is the 225-vertex grid the CSV and Surge-day tests run on; the
+// FuzzReadCSV seed corpus is written against it (out_of_range names vertex
+// 225).
+func csvGraph(t testing.TB) *roadnet.Graph {
 	t.Helper()
 	g, err := roadnet.Grid(roadnet.GridOptions{
 		Rows: 15, Cols: 15, Spacing: 400, Jitter: 0.2, WeightVar: 0.1, Seed: 1,
@@ -23,123 +25,14 @@ func testGraph(t testing.TB) *roadnet.Graph {
 	return g
 }
 
-func TestGenerateBasicProperties(t *testing.T) {
-	g := testGraph(t)
-	reqs, err := Generate(g, GenOptions{Trips: 1000, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reqs) != 1000 {
-		t.Fatalf("got %d requests", len(reqs))
-	}
-	if !sort.SliceIsSorted(reqs, func(i, j int) bool { return reqs[i].Time < reqs[j].Time }) {
-		t.Fatal("requests not sorted by time")
-	}
-	for i, r := range reqs {
-		if r.Pickup == r.Dropoff {
-			t.Fatalf("request %d: pickup == dropoff", i)
-		}
-		if r.Time < 0 || r.Time > 86400 {
-			t.Fatalf("request %d: time %f outside horizon", i, r.Time)
-		}
-		if g.EuclideanDist(r.Pickup, r.Dropoff) < 1000 {
-			t.Fatalf("request %d: trip shorter than MinTripMeters", i)
-		}
-	}
-}
-
-func TestGenerateDeterministic(t *testing.T) {
-	g := testGraph(t)
-	a, err := Generate(g, GenOptions{Trips: 200, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Generate(g, GenOptions{Trips: 200, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("request %d differs between identical seeds", i)
-		}
-	}
-	c, err := Generate(g, GenOptions{Trips: 200, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := 0
-	for i := range a {
-		if a[i].Pickup == c[i].Pickup && a[i].Dropoff == c[i].Dropoff {
-			same++
-		}
-	}
-	if same == len(a) {
-		t.Fatal("different seeds produced identical workloads")
-	}
-}
-
-func TestGenerateRushHourShape(t *testing.T) {
-	g := testGraph(t)
-	reqs, err := Generate(g, GenOptions{Trips: 5000, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bucket per hour; rush hours (8-9, 17-19) must beat the 2-4 AM trough.
-	var byHour [24]int
-	for _, r := range reqs {
-		byHour[int(r.Time/3600)%24]++
-	}
-	trough := byHour[2] + byHour[3]
-	morning := byHour[8] + byHour[9]
-	evening := byHour[17] + byHour[18]
-	if morning <= 2*trough || evening <= 2*trough {
-		t.Fatalf("no rush-hour shape: trough=%d morning=%d evening=%d", trough, morning, evening)
-	}
-}
-
-func TestGenerateHotspotClustering(t *testing.T) {
-	g := testGraph(t)
-	clustered, err := Generate(g, GenOptions{Trips: 2000, Seed: 6, HotspotFrac: 0.9, Hotspots: 3, HotspotSigma: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	uniform, err := Generate(g, GenOptions{Trips: 2000, Seed: 6, HotspotFrac: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Clustered workloads reuse far fewer distinct pickup vertices.
-	distinct := func(reqs []sim.Request) int {
-		m := map[roadnet.VertexID]bool{}
-		for _, r := range reqs {
-			m[r.Pickup] = true
-		}
-		return len(m)
-	}
-	dc, du := distinct(clustered), distinct(uniform)
-	if float64(dc) > 0.8*float64(du) {
-		t.Fatalf("clustering ineffective: %d distinct clustered vs %d uniform", dc, du)
-	}
-}
-
-func TestGenerateValidation(t *testing.T) {
-	g := testGraph(t)
-	if _, err := Generate(g, GenOptions{Trips: 0}); err == nil {
-		t.Fatal("expected error for zero trips")
-	}
-	small, err := roadnet.Grid(roadnet.GridOptions{Rows: 2, Cols: 2, Spacing: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 10 m blocks cannot yield 1,000 m trips.
-	if _, err := Generate(small, GenOptions{Trips: 10}); err == nil {
-		t.Fatal("expected error for unsatisfiable minimum trip length")
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
-	g := testGraph(t)
-	reqs, err := Generate(g, GenOptions{Trips: 150, Seed: 7})
+	g := csvGraph(t)
+	gen, err := New(g, Options{Pattern: Surge, Trips: 150, Seed: 7})
 	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := gen.All()
+	if err := gen.Err(); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -164,7 +57,7 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVErrors(t *testing.T) {
-	g := testGraph(t)
+	g := csvGraph(t)
 	cases := []string{
 		"",
 		"bogus,header,x,y\n",
@@ -195,7 +88,7 @@ func TestReadCSVErrors(t *testing.T) {
 // the loader must order them by ID regardless of row order, matching the
 // ingress gateway's stamped release order.
 func TestReadCSVSortsTiesByID(t *testing.T) {
-	g := testGraph(t)
+	g := csvGraph(t)
 	in := "id,time,pickup,dropoff\n7,100,0,1\n3,100,1,2\n9,50,2,3\n"
 	got, err := ReadCSV(strings.NewReader(in), g)
 	if err != nil {
@@ -214,7 +107,7 @@ func TestReadCSVSortsTiesByID(t *testing.T) {
 // WriteCSV/ReadCSV round trip with times rounded to the written
 // millisecond. The seed corpus lives under testdata/fuzz.
 func FuzzReadCSV(f *testing.F) {
-	g := testGraph(f)
+	g := csvGraph(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reqs, err := ReadCSV(bytes.NewReader(data), g)
 		if err != nil {

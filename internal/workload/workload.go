@@ -1,19 +1,23 @@
-// Package workload is the streaming open-loop load generator: it produces
-// an unbounded-in-principle, time-sorted trip-request stream one request
-// at a time, instead of materializing a day of demand as a slice the way
-// internal/trace does. Open-loop means arrivals follow a stochastic
-// process independent of how fast the system drains them — the
-// load-testing discipline real-time dispatchers are judged under — and
-// streaming means the driver (ingest.Drive) can fan the requests out to
-// concurrent producer goroutines as they are drawn.
+// Package workload is the repo's one request generator and its file
+// format. A Generator produces a time-sorted trip-request stream one
+// request at a time; All drains it into the slice the replay paths take,
+// and WriteCSV/ReadCSV (csv.go) store and load such a slice — or real
+// trip data in the same format. The paper replays 432,327 proprietary
+// Shanghai taxi trips from one day; the Surge pattern synthesises that
+// day — two rush-hour peaks, demand clustered at hotspots such as
+// airports and the CBD — and the other two patterns are open-loop load:
+// arrivals follow a stochastic process independent of how fast the
+// system drains them, and the driver (ingest.Drive) can fan the requests
+// out to concurrent producer goroutines as they are drawn.
 //
 // Three arrival patterns cover the paper-shaped scenarios:
 //
 //   - Poisson: homogeneous arrivals at a constant mean rate, endpoints
 //     drawn from the usual uniform/hotspot mixture — steady city traffic;
-//   - Surge: a non-homogeneous Poisson process (thinning) against the
-//     double rush-hour day curve — morning and evening peaks over a
-//     nighttime trough, the demand shape of the paper's Shanghai day;
+//   - Surge: the replayed day. A fixed number of arrival times drawn
+//     i.i.d. from the double rush-hour day curve and sorted — the
+//     order-statistics form of the non-homogeneous Poisson process —
+//     with morning and evening peaks over a nighttime trough;
 //   - Hotspot: homogeneous arrivals whose pickups concentrate on a few
 //     tight clusters (airport curbs, stadium gates) while dropoffs spread
 //     city-wide — the spatial mix that stresses kinetic-tree blow-up and
@@ -29,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/roadnet"
@@ -42,7 +47,8 @@ const (
 	// Poisson is steady traffic: exponential inter-arrivals at the mean
 	// rate, mixed uniform/hotspot endpoints.
 	Poisson Pattern = iota
-	// Surge follows the double rush-hour day curve via thinning.
+	// Surge is the replayed day: arrivals pre-drawn from the double
+	// rush-hour day curve.
 	Surge
 	// Hotspot concentrates pickups on a few tight clusters with
 	// city-wide dropoffs.
@@ -78,13 +84,16 @@ type Options struct {
 	Pattern Pattern
 	// Trips caps the stream length when positive; with Trips == 0 the
 	// stream ends at the horizon with however many requests the arrival
-	// process produced.
+	// process produced. Surge draws exactly Trips arrivals, or
+	// round(Rate × HorizonSeconds) of them when Trips is 0.
 	Trips int
-	// HorizonSeconds bounds request times (default 86400, one day).
+	// HorizonSeconds bounds request times (default 86400, one day). It
+	// must be finite and not negative.
 	HorizonSeconds float64
 	// Rate is the mean arrival rate in requests/second. 0 derives it
 	// from Trips over the horizon (so a Trips-capped stream spans the
-	// whole day on average); with both zero, New fails.
+	// whole day on average); with both zero, New fails. It must be
+	// finite.
 	Rate float64
 	// Hotspots is the number of high-demand clusters (default 8; the
 	// Hotspot pattern defaults to 3 tighter ones).
@@ -138,12 +147,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// DayCurve is the relative request intensity at time-of-day t over the
+// dayCurve is the relative request intensity at time-of-day t over the
 // horizon: morning and evening rush-hour peaks over a nighttime trough
-// (mean ≈ 0.5 over the day). It is THE demand curve of the repo — the
-// trace replayer (internal/trace) and the Surge pattern both draw from it,
-// so tuning it retunes replayed and streamed demand together.
-func DayCurve(t, horizon float64) float64 {
+// (mean ≈ 0.5 over the day). It is the demand curve of the Surge pattern.
+func dayCurve(t, horizon float64) float64 {
 	h := 24 * t / horizon // hour of day
 	peak := func(center, width float64) float64 {
 		d := (h - center) / width
@@ -163,9 +170,8 @@ type Generator struct {
 	spots                  []spot
 	minX, minY, maxX, maxY float64
 
-	baseRate  float64 // homogeneous rate, or the thinning envelope
-	shapeMax  float64 // max of DayCurve over the horizon
-	shapeMean float64 // mean of DayCurve over the horizon
+	rate  float64   // homogeneous arrival rate (Poisson, Hotspot)
+	times []float64 // Surge's pre-drawn arrival times, sorted
 
 	t     float64 // current stream time
 	count int     // requests emitted
@@ -181,6 +187,12 @@ func New(g *roadnet.Graph, opt Options) (*Generator, error) {
 	opt = opt.withDefaults()
 	if g.N() < 2 {
 		return nil, fmt.Errorf("workload: graph too small (%d vertices)", g.N())
+	}
+	if h := opt.HorizonSeconds; !(h > 0) || math.IsInf(h, 1) {
+		return nil, fmt.Errorf("workload: horizon must be a positive, finite number of seconds (0 selects the default), got %v", h)
+	}
+	if math.IsNaN(opt.Rate) || math.IsInf(opt.Rate, 0) {
+		return nil, fmt.Errorf("workload: rate must be finite, got %v", opt.Rate)
 	}
 	if opt.Trips <= 0 && opt.Rate <= 0 {
 		return nil, fmt.Errorf("workload: need Trips or Rate")
@@ -199,27 +211,39 @@ func New(g *roadnet.Graph, opt Options) (*Generator, error) {
 			y: gen.minY + gen.rng.Float64()*(gen.maxY-gen.minY),
 		})
 	}
-	// Deterministic numeric sweep of the day curve for the thinning
-	// envelope and the Trips -> Rate normalization.
-	gen.shapeMax, gen.shapeMean = 0, 0
-	const samples = 200
-	for i := 0; i < samples; i++ {
-		s := DayCurve(opt.HorizonSeconds*float64(i)/samples, opt.HorizonSeconds)
-		gen.shapeMax = math.Max(gen.shapeMax, s)
-		gen.shapeMean += s / samples
-	}
-	rate := opt.Rate
-	if rate <= 0 {
-		rate = float64(opt.Trips) / opt.HorizonSeconds
+	gen.rate = opt.Rate
+	if gen.rate <= 0 {
+		gen.rate = float64(opt.Trips) / opt.HorizonSeconds
 	}
 	if opt.Pattern == Surge {
-		// rate is the desired mean; the envelope rate is scaled so that
-		// thinning against shape/shapeMax preserves that mean.
-		gen.baseRate = rate * gen.shapeMax / gen.shapeMean
-	} else {
-		gen.baseRate = rate
+		n := opt.Trips
+		if n <= 0 {
+			n = int(math.Round(gen.rate * opt.HorizonSeconds))
+		}
+		gen.times = gen.drawDay(n)
 	}
 	return gen, nil
+}
+
+// drawDay draws n arrival times i.i.d. from the day curve, by rejection
+// against its peak over a 200-point sweep, and sorts them. Given its
+// count, a non-homogeneous Poisson process's arrivals are exactly such
+// order statistics.
+func (gen *Generator) drawDay(n int) []float64 {
+	h := gen.opt.HorizonSeconds
+	peak := 0.0
+	for i := 0; i < 200; i++ {
+		peak = math.Max(peak, dayCurve(h*float64(i)/200, h))
+	}
+	times := make([]float64, 0, n)
+	for len(times) < n {
+		t := gen.rng.Float64() * h
+		if gen.rng.Float64()*peak <= dayCurve(t, h) {
+			times = append(times, t)
+		}
+	}
+	sort.Float64s(times)
+	return times
 }
 
 // Next draws the following request: a monotone arrival time from the
@@ -232,19 +256,18 @@ func (gen *Generator) Next() (req sim.Request, ok bool) {
 		gen.done = true
 		return sim.Request{}, false
 	}
-	for {
-		// Exponential inter-arrival against the envelope rate...
-		gen.t += gen.rng.ExpFloat64() / gen.baseRate
+	if gen.opt.Pattern == Surge {
+		if gen.count == len(gen.times) {
+			gen.done = true
+			return sim.Request{}, false
+		}
+		gen.t = gen.times[gen.count]
+	} else {
+		gen.t += gen.rng.ExpFloat64() / gen.rate
 		if gen.t > gen.opt.HorizonSeconds {
 			gen.done = true
 			return sim.Request{}, false
 		}
-		// ...thinned by the day curve for the non-homogeneous Surge.
-		if gen.opt.Pattern == Surge &&
-			gen.rng.Float64()*gen.shapeMax > DayCurve(gen.t, gen.opt.HorizonSeconds) {
-			continue
-		}
-		break
 	}
 	s, e, ok := gen.sampleTrip()
 	if !ok {

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -161,11 +164,25 @@ func TestRateDerivation(t *testing.T) {
 	}
 }
 
-// TestOptionValidation covers constructor misuse.
+// TestOptionValidation covers constructor misuse: no size, and a horizon
+// or rate that is not a finite number (a NaN horizon never accepts a
+// Surge arrival, a negative one writes negative times).
 func TestOptionValidation(t *testing.T) {
 	g := testGraph(t)
-	if _, err := New(g, Options{Pattern: Poisson}); err == nil {
-		t.Fatal("neither Trips nor Rate must be rejected")
+	for _, opt := range []Options{
+		{Pattern: Poisson},
+		{Pattern: Surge, Trips: 10, HorizonSeconds: math.NaN()},
+		{Pattern: Surge, Trips: 10, HorizonSeconds: math.Inf(1)},
+		{Pattern: Surge, Trips: 10, HorizonSeconds: math.Inf(-1)},
+		{Pattern: Surge, Trips: 10, HorizonSeconds: -3600},
+		{Pattern: Poisson, Trips: 10, HorizonSeconds: -3600},
+		{Pattern: Surge, Rate: math.NaN()},
+		{Pattern: Poisson, Rate: math.Inf(1)},
+		{Pattern: Surge, Trips: 10, Rate: math.Inf(-1)},
+	} {
+		if _, err := New(g, opt); err == nil {
+			t.Errorf("%+v accepted", opt)
+		}
 	}
 	if _, err := ParsePattern("rush"); err == nil {
 		t.Fatal("unknown pattern accepted")
@@ -206,5 +223,50 @@ func TestSamplingExhaustionReported(t *testing.T) {
 	}
 	if err := ok.Err(); err != nil {
 		t.Fatalf("normal ending reported %v", err)
+	}
+}
+
+// TestSurgeStreamPinned pins the two replayed days the experiments run on
+// the scale-0.002 city of seed 7 — exp.BuildWorld's and Fig. 9c-stress's —
+// by a SHA-256 over every request's (ID, time bits, pickup, dropoff). The
+// digests were taken from the materialising generator Surge replaced, so
+// a change here changes every replayed experiment and golden run.
+func TestSurgeStreamPinned(t *testing.T) {
+	g, err := roadnet.SyntheticCity(roadnet.CityOptions{Scale: 0.002, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		opt  Options
+		n    int
+		want string
+	}{
+		{"buildworld", Options{Pattern: Surge, Trips: 864, HorizonSeconds: 86400, Seed: 8}, 864,
+			"93c59a702ab9932da3e6a9568b4ef39e49ef99d11884e7f3b145f5454d1a1953"},
+		{"fig9cstress", Options{Pattern: Surge, Trips: 600, HorizonSeconds: 3600, Hotspots: 3,
+			HotspotSigma: 250, HotspotFrac: 0.95, Seed: 99}, 600,
+			"46e17f7540133c1a55913199aec29f81e1d2601d1af6e5e365474510a1fa284a"},
+	} {
+		gen, err := New(g, c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs := gen.All()
+		if err := gen.Err(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		h := sha256.New()
+		var b [24]byte
+		for _, r := range reqs {
+			binary.LittleEndian.PutUint64(b[0:], uint64(r.ID))
+			binary.LittleEndian.PutUint64(b[8:], math.Float64bits(r.Time))
+			binary.LittleEndian.PutUint32(b[16:], uint32(r.Pickup))
+			binary.LittleEndian.PutUint32(b[20:], uint32(r.Dropoff))
+			h.Write(b[:])
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); len(reqs) != c.n || got != c.want {
+			t.Errorf("%s: %d requests, digest %s; want %d, %s", c.name, len(reqs), got, c.n, c.want)
+		}
 	}
 }
