@@ -217,9 +217,7 @@ func run(o options, stdout io.Writer) error {
 	defer p.Close()
 
 	if o.obsAddr != "" {
-		srv, err := obs.Serve(o.obsAddr,
-			func() any { return hooks.Live.Snapshot() },
-			func(pw *obs.PromWriter) { hooks.Live.WriteProm(pw); p.SLO.WriteProm(pw) })
+		srv, err := obs.Serve(o.obsAddr, hooks.Live, p.SLO)
 		if err != nil {
 			return err
 		}
@@ -229,7 +227,7 @@ func run(o options, stdout io.Writer) error {
 		}
 	}
 	if o.obsInterval > 0 {
-		rep := obs.NewReporter(os.Stderr, o.obsInterval, func() any { return hooks.Live.Snapshot() })
+		rep := obs.NewReporter(os.Stderr, o.obsInterval, func() any { return hooks.Live.Snapshot(p.SLO) })
 		defer rep.Stop()
 	}
 	if !o.jsonOut {
@@ -288,7 +286,7 @@ func report(stdout io.Writer, o options, p *pipeline.Pipeline, tracer *obs.Trace
 	if o.jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(m.Snapshot()); err != nil {
+		if err := enc.Encode(m.Snapshot(p.SLO)); err != nil {
 			return errors.Join(runErr, err)
 		}
 		return runErr

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -77,7 +78,23 @@ func golden(t *testing.T) seedExact {
 	return want
 }
 
-// seedExactOf runs ridesim with args and decodes its -json snapshot.
+// keySet is the set of top-level keys of a JSON object.
+func keySet(t *testing.T, raw []byte) map[string]bool {
+	t.Helper()
+	var obj map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &obj); err != nil {
+		t.Fatalf("not one JSON object: %v\n%s", err, raw)
+	}
+	keys := make(map[string]bool, len(obj))
+	for k := range obj {
+		keys[k] = true
+	}
+	return keys
+}
+
+// seedExactOf runs ridesim with args and decodes its -json snapshot, whose
+// keys must be exactly the golden's: no key may be dropped, renamed or
+// added unseen.
 func seedExactOf(t *testing.T, args ...string) seedExact {
 	t.Helper()
 	out, err := ridesim(t, args...)
@@ -87,6 +104,22 @@ func seedExactOf(t *testing.T, args ...string) seedExact {
 	var got seedExact
 	if err := json.Unmarshal([]byte(out), &got); err != nil {
 		t.Fatalf("stdout is not one JSON snapshot: %v\n%s", err, out)
+	}
+	raw, err := os.ReadFile("testdata/golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if have, want := keySet(t, []byte(out)), keySet(t, raw); !reflect.DeepEqual(have, want) {
+		for k := range want {
+			if !have[k] {
+				t.Errorf("-json lacks the golden's key %q", k)
+			}
+		}
+		for k := range have {
+			if !want[k] {
+				t.Errorf("-json has key %q, which the golden lacks", k)
+			}
+		}
 	}
 	return got
 }

@@ -46,8 +46,9 @@ func printSummary(w io.Writer, o options, p *pipeline.Pipeline, m *sim.Metrics, 
 			fmt.Fprintf(w, "admission: SLO %v; shed level peak %d‰, %d controller transitions\n",
 				s.SLO, m.AdmissionShedPeakPM, m.AdmissionTransitions)
 		}
+		b := p.SLO.Snapshot()
 		fmt.Fprintf(w, "slo: objective %.2f%% within %v; good %d, bad %d; error budget consumed %.1f%%; burn %.2fx\n",
-			m.SLOObjective*100, s.SLO, m.SLOGood, m.SLOBad, m.SLOBudgetConsumed()*100, p.SLO.Snapshot().BurnRate)
+			b.Objective*100, s.SLO, b.Good, b.Bad, b.BudgetConsumed*100, b.BurnRate)
 	}
 	if p.Injector != nil {
 		fmt.Fprintf(w, "faults: plan %s; %s\n", s.FaultPlan, p.Injector.Stats())

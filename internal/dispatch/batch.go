@@ -157,7 +157,7 @@ func (e *Engine) flushAt(t float64) {
 	needy := fs.needy[:0] // shards with dirty candidates (scratch)
 	for i, req := range batch {
 		e.metrics.Requests++
-		e.live.AddRequests(1)
+		e.live.Add(obs.Requests, 1)
 		// Per-request search latency, attributed the way immediate mode
 		// records it: the shards ran this request's phase-1 trials
 		// concurrently when a pool exists (wall ≈ the slowest shard) and
@@ -204,13 +204,13 @@ func (e *Engine) flushAt(t float64) {
 			})
 			e.metrics.RepairLatency.Record(repairNs.Nanoseconds())
 			e.metrics.ConflictsRepaired++
-			e.live.AddConflicts(1)
+			e.live.Add(obs.Conflicts, 1)
 			e.metrics.RetrialTrialsSaved += trialed - dirtyCount
 		}
 		e.metrics.AddACRT(search)
 		if best.veh < 0 {
 			e.metrics.Rejected++
-			e.live.AddRejected(1)
+			e.live.Add(obs.Rejected, 1)
 			e.ring.Emit(obs.KindRejected, req.ID, req.Time, -1)
 			e.assigned[req.ID] = -1
 		} else {
@@ -243,7 +243,7 @@ func (e *Engine) flushAt(t float64) {
 		Arg: int64(n), Start: flushSpanStart,
 	})
 	e.flushSeq++
-	e.live.AddFlushes(1)
+	e.live.Add(obs.Flushes, 1)
 }
 
 // planRequest resolves one batch request against the flush's dirty set. It

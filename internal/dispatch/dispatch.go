@@ -489,7 +489,7 @@ func (e *Engine) Submit(req sim.Request) (matched bool, vehID int) {
 	}
 	e.clock = req.Time
 	e.metrics.Requests++
-	e.live.AddRequests(1)
+	e.live.Add(obs.Requests, 1)
 
 	waitMeters, eps := e.shards[0].w.Budget(req)
 	radius := e.shards[0].w.CandidateRadius(waitMeters)
@@ -509,7 +509,7 @@ func (e *Engine) Submit(req sim.Request) (matched bool, vehID int) {
 
 	if best.veh < 0 {
 		e.metrics.Rejected++
-		e.live.AddRejected(1)
+		e.live.Add(obs.Rejected, 1)
 		e.ring.Emit(obs.KindRejected, req.ID, req.Time, -1)
 		e.emitMatchSpan(req, matchStart, -1)
 		e.assigned[req.ID] = -1

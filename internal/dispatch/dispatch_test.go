@@ -571,13 +571,13 @@ func TestBatchTracedEquivalence(t *testing.T) {
 	}
 
 	// Live counters match the final metrics.
-	if live.Requests.Load() != int64(m.Requests) || live.Matched.Load() != int64(m.Matched) ||
-		live.Rejected.Load() != int64(m.Rejected) || live.Conflicts.Load() != int64(m.ConflictsRepaired) {
+	if live.Load(obs.Requests) != int64(m.Requests) || live.Load(obs.Matched) != int64(m.Matched) ||
+		live.Load(obs.Rejected) != int64(m.Rejected) || live.Load(obs.Conflicts) != int64(m.ConflictsRepaired) {
 		t.Fatalf("live %+v diverges from metrics req=%d matched=%d rejected=%d conflicts=%d",
-			live.Snapshot(), m.Requests, m.Matched, m.Rejected, m.ConflictsRepaired)
+			live.Snapshot(nil), m.Requests, m.Matched, m.Rejected, m.ConflictsRepaired)
 	}
-	if uint64(live.Flushes.Load()) != m.FlushLatency.Count() {
-		t.Fatalf("live flushes %d != flush samples %d", live.Flushes.Load(), m.FlushLatency.Count())
+	if uint64(live.Load(obs.Flushes)) != m.FlushLatency.Count() {
+		t.Fatalf("live flushes %d != flush samples %d", live.Load(obs.Flushes), m.FlushLatency.Count())
 	}
 
 	// The trace resolved every request exactly once.

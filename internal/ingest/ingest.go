@@ -131,8 +131,10 @@ type Config struct {
 	// Tracing changes no control flow: assignments stay bit-identical to
 	// an untraced run (TestIngressEquivalenceTraced).
 	Trace *obs.Tracer
-	// Live, when non-nil, receives atomically readable progress counters
-	// (admitted, shed, backlog) for mid-run observation.
+	// Live is where the gateway counts its releases (obs.Admitted), sheds
+	// and backlog, readable mid-run; MetricsInto reads the counts back
+	// from it. It may be shared with the engine, which counts other rows,
+	// but not with another gateway. Nil gives the gateway a private one.
 	Live *obs.Live
 	// SLO, when non-nil, receives one outcome per request the gateway
 	// settles against the wall-clock SLO: good for releases within
@@ -199,19 +201,19 @@ type Gateway struct {
 
 	// Adaptive-admission shared state: the drainer's controller stores
 	// the current shed probability (per mille) and producers read it at
-	// admission; the shed counter has both producer writers (admission
-	// sheds) and the drainer (wall-SLO handoff sheds).
-	shedPM       atomic.Int64
-	shedAdaptive atomic.Int64
+	// admission.
+	shedPM atomic.Int64
+
+	// The gateway's counters: cfg.Live, or a private Live when none was
+	// given. Producers and the drainer both count into it.
+	live *obs.Live
 
 	// Drainer-owned state; touched only by Drain's goroutine.
-	heap         stampHeap
-	admitted     int
-	ctrl         *controller    // nil unless Policy == Adaptive
-	shedDeadline atomic.Int64   // admission-side sheds come from producers
-	waitHist     *obs.Histogram // gateway residence wall time, ns
-	lagHist      *obs.Histogram // release lag in simulated ms, Now()-req.Time
-	drainRing    *obs.Ring      // release/shed lifecycle events (nil = off)
+	heap      stampHeap
+	ctrl      *controller    // nil unless Policy == Adaptive
+	waitHist  *obs.Histogram // gateway residence wall time, ns
+	lagHist   *obs.Histogram // release lag in simulated ms, Now()-req.Time
+	drainRing *obs.Ring      // release/shed lifecycle events (nil = off)
 }
 
 // New creates a gateway. The engine it will feed is not bound here; Drain
@@ -221,9 +223,13 @@ func New(cfg Config) *Gateway {
 	g := &Gateway{
 		cfg:       cfg,
 		wake:      make(chan struct{}, 1),
+		live:      cfg.Live,
 		waitHist:  obs.NewHistogram(),
 		lagHist:   obs.NewHistogram(),
 		drainRing: cfg.Trace.Ring("drain"),
+	}
+	if g.live == nil {
+		g.live = &obs.Live{}
 	}
 	for i := 0; i < cfg.Queues; i++ {
 		g.queues = append(g.queues, newQueue(cfg.Depth))
@@ -362,8 +368,7 @@ func (p *Producer) Submit(req sim.Request) bool {
 	policy := g.cfg.Policy
 	if policy == ShedDeadline || policy == Adaptive {
 		if lag := g.Now() - req.Time; lag > g.window(req) {
-			g.shedDeadline.Add(1)
-			g.cfg.Live.AddShedDeadline(1)
+			g.live.Add(obs.ShedDeadline, 1)
 			p.ring.Emit(obs.KindShed, req.ID, req.Time, obs.ShedReasonDeadlineAdmit)
 			g.nudge() // the watermark advanced; release may be unblocked
 			return false
@@ -378,9 +383,7 @@ func (p *Producer) Submit(req sim.Request) bool {
 			p.acc += pm
 			if p.acc >= 1000 {
 				p.acc -= 1000
-				g.shedAdaptive.Add(1)
-				g.cfg.Live.AddShedAdaptive(1)
-				g.cfg.Live.AddSLOBad(1)
+				g.live.Add(obs.ShedAdaptive, 1)
 				g.cfg.SLO.Observe(false)
 				p.ring.Emit(obs.KindShed, req.ID, req.Time, obs.ShedReasonAdaptive)
 				g.nudge()
@@ -390,7 +393,6 @@ func (p *Producer) Submit(req sim.Request) bool {
 	}
 	s := stamped{req: req, seq: g.seq.Add(1), wall: time.Now(), prod: p.id, admitNs: p.ring.SpanStart()} //vetkit:allow determinism admission wall stamp: feeds the wall-clock SLO policy, which is wall-time by definition
 	p.ring.Emit(obs.KindAdmitted, req.ID, req.Time, int64(s.seq))
-	g.cfg.Live.AddAdmitted(1)
 	qi := dispatch.ShardIndex(req.ID, len(g.queues))
 	q := g.queues[qi]
 	// Nudge on both sides of the push: before, so a push that blocks on a
@@ -400,7 +402,7 @@ func (p *Producer) Submit(req sim.Request) bool {
 	// submitted request itself is always admitted.
 	g.nudge()
 	if evicted, victim := q.push(s, policy == ShedOldest || policy == Adaptive); evicted {
-		g.cfg.Live.AddShedOverflow(1)
+		g.live.Add(obs.ShedOverflow, 1)
 		// The eviction happened under this producer's push, so its ring
 		// is the single-writer home for the victim's shed event even
 		// when the victim was admitted by another producer.
@@ -494,8 +496,7 @@ func (g *Gateway) Drain(sink func(sim.Request)) {
 			lag := g.Now() - s.req.Time
 			policy := g.cfg.Policy
 			if (policy == ShedDeadline || policy == Adaptive) && lag > g.window(s.req) {
-				g.shedDeadline.Add(1)
-				g.cfg.Live.AddShedDeadline(1)
+				g.live.Add(obs.ShedDeadline, 1)
 				g.drainRing.Emit(obs.KindShed, s.req.ID, s.req.Time, obs.ShedReasonDeadlineRelease)
 				continue
 			}
@@ -507,9 +508,7 @@ func (g *Gateway) Drain(sink func(sim.Request)) {
 				// only report a blown promise as served. Shedding here
 				// is also what makes measured goodput honest: every
 				// release is within-SLO by construction.
-				g.shedAdaptive.Add(1)
-				g.cfg.Live.AddShedAdaptive(1)
-				g.cfg.Live.AddSLOBad(1)
+				g.live.Add(obs.ShedAdaptive, 1)
 				g.cfg.SLO.Observe(false)
 				g.drainRing.Emit(obs.KindShed, s.req.ID, s.req.Time, obs.ShedReasonWallSLO)
 				g.ctrl.observe(wait)
@@ -518,16 +517,10 @@ func (g *Gateway) Drain(sink func(sim.Request)) {
 			if g.ctrl != nil {
 				g.ctrl.observe(wait)
 			}
-			g.admitted++
+			g.live.Add(obs.Admitted, 1)
 			g.waitHist.Record(wait.Nanoseconds())
 			g.lagHist.Record(int64(lag * 1000)) // simulated seconds -> ms
-			if good := wait <= g.cfg.WallSLO; good {
-				g.cfg.Live.AddSLOGood(1)
-				g.cfg.SLO.Observe(true)
-			} else {
-				g.cfg.Live.AddSLOBad(1)
-				g.cfg.SLO.Observe(false)
-			}
+			g.cfg.SLO.Observe(wait <= g.cfg.WallSLO)
 			g.drainRing.Emit(obs.KindReleased, s.req.ID, s.req.Time, wait.Nanoseconds())
 			g.drainRing.EmitSpan(obs.Span{
 				ID: obs.SpanID(s.req.ID, obs.StageQueueWait, 0), Parent: obs.RootSpanID(s.req.ID),
@@ -547,13 +540,10 @@ func (g *Gateway) Drain(sink func(sim.Request)) {
 		if g.ctrl != nil {
 			if pm, changed := g.ctrl.maybeAdjust(backlog); changed {
 				g.shedPM.Store(pm)
-				g.cfg.Live.SetShedLevel(pm)
+				g.live.Set(obs.ShedLevel, pm)
 			}
 		}
-		g.cfg.Live.SetBacklog(int64(g.heap.Len()))
-		if g.cfg.SLO != nil {
-			g.cfg.Live.SetBurnPM(g.cfg.SLO.BurnPerMille())
-		}
+		g.live.Set(obs.Backlog, int64(g.heap.Len()))
 		if math.IsInf(floor, 1) && g.heap.Len() == 0 && g.queuesEmpty() {
 			return
 		}
@@ -573,24 +563,16 @@ func (g *Gateway) queuesEmpty() bool {
 }
 
 // MetricsInto folds the gateway's ingress counters into m. Call after
-// Drain returns (or between fan-ins, when producers are quiescent).
+// Drain returns (or between fan-ins, when producers are quiescent). The
+// SLO account is not folded: it stays in Config.SLO.
 func (g *Gateway) MetricsInto(m *sim.Metrics) {
-	m.Admitted += g.admitted
-	m.ShedDeadline += int(g.shedDeadline.Load())
-	peak := 0
-	overflow := 0
+	m.Admitted += int(g.live.Load(obs.Admitted))
+	m.ShedOverflow += int(g.live.Load(obs.ShedOverflow))
+	m.ShedDeadline += int(g.live.Load(obs.ShedDeadline))
+	m.ShedAdaptive += int(g.live.Load(obs.ShedAdaptive))
 	for _, q := range g.queues {
-		p, o := q.stats()
-		if p > peak {
-			peak = p
-		}
-		overflow += o
+		m.IngressQueuePeak = max(m.IngressQueuePeak, q.peakDepth())
 	}
-	if peak > m.IngressQueuePeak {
-		m.IngressQueuePeak = peak
-	}
-	m.ShedOverflow += overflow
-	m.ShedAdaptive += int(g.shedAdaptive.Load())
 	if g.ctrl != nil {
 		if pm := int(g.ctrl.peakPM); pm > m.AdmissionShedPeakPM {
 			m.AdmissionShedPeakPM = pm
@@ -599,14 +581,6 @@ func (g *Gateway) MetricsInto(m *sim.Metrics) {
 	}
 	m.IngressWait.Merge(g.waitHist)
 	m.ReleaseLagMs.Merge(g.lagHist)
-	if g.cfg.SLO != nil {
-		snap := g.cfg.SLO.Snapshot()
-		m.SLOGood += int(snap.Good)
-		m.SLOBad += int(snap.Bad)
-		if snap.Objective > m.SLOObjective {
-			m.SLOObjective = snap.Objective
-		}
-	}
 }
 
 // ShedByProducer reports, per producer index, how many of that

@@ -7,6 +7,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/dispatch"
@@ -543,11 +544,11 @@ func TestIngressEquivalenceTraced(t *testing.T) {
 				}
 
 				// Live counters must agree with the ground truth.
-				admitted, requests := live.Admitted.Load(), live.Requests.Load()
+				admitted, requests := live.Load(obs.Admitted), live.Load(obs.Requests)
 				if admitted != int64(len(reqs)) || requests != int64(len(reqs)) {
 					t.Fatalf("live admitted=%d requests=%d, want %d", admitted, requests, len(reqs))
 				}
-				matched, rejected := live.Matched.Load(), live.Rejected.Load()
+				matched, rejected := live.Load(obs.Matched), live.Load(obs.Rejected)
 				if int(matched) != kinds["matched"] || int(rejected) != kinds["rejected"] {
 					t.Fatalf("live matched=%d rejected=%d, trace says %d/%d",
 						matched, rejected, kinds["matched"], kinds["rejected"])
@@ -562,4 +563,74 @@ func sum(m map[string]int) (n int) {
 		n += v
 	}
 	return n
+}
+
+// TestLiveAgreesWithMetrics: every event is counted once, so at quiescence
+// each live counter equals the same-named value of the run's metrics
+// snapshot — under every policy, sheds included. In particular admitted
+// means released to the engine in both, not stamped into the order.
+func TestLiveAgreesWithMetrics(t *testing.T) {
+	g, factory, reqs := testWorld(t, 60)
+	for _, policy := range []Policy{Block, ShedOldest, ShedDeadline, Adaptive} {
+		t.Run(policy.String(), func(t *testing.T) {
+			live := &obs.Live{}
+			slo := obs.NewSLOTracker(0.99, time.Hour)
+			cfg := baseConfig(g, factory)
+			cfg.BatchWindow = 30
+			cfg.Live = live
+			e, err := dispatch.New(cfg, factory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			gw := New(Config{Queues: e.Shards(), Depth: 4, Policy: policy, SLO: slo, Live: live})
+			ps := gw.Producers(2)
+			submit := func() {
+				for _, r := range reqs {
+					ps[0].Submit(r)
+				}
+				// Far behind the clock for its own 60 s window: the
+				// deadline-checking policies refuse it at admission.
+				stale := reqs[0]
+				stale.ID, stale.WaitSeconds = int64(len(reqs)), 60
+				ps[1].Submit(stale)
+				ps[0].Close()
+				ps[1].Close()
+			}
+			if policy == ShedOldest || policy == Adaptive {
+				submit() // evicting policies never block: overflow the queues before draining
+			} else {
+				go submit()
+			}
+			gw.Drain(e.Enqueue)
+			e.Flush()
+			if err := e.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			m := e.Metrics()
+			gw.MetricsInto(m)
+			if policy != Block && m.Shed() == 0 {
+				t.Fatalf("%s shed nothing; the test needs at least one shed", policy)
+			}
+			raw, err := json.Marshal(m.Snapshot(slo))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want map[string]any
+			if err := json.Unmarshal(raw, &want); err != nil {
+				t.Fatal(err)
+			}
+			want["conflicts"] = float64(m.ConflictsRepaired)
+			want["flushes"] = float64(m.FlushLatency.Count())
+			want["backlog"] = float64(0)
+			for k, v := range live.Snapshot(slo) {
+				if k == "shed_level_pm" || k == "slo_burn_pm" {
+					continue // live-only gauges: the current level and burn
+				}
+				if w, ok := want[k]; !ok || float64(v) != w {
+					t.Errorf("live %s = %d, metrics say %v", k, v, w)
+				}
+			}
+		})
+	}
 }

@@ -15,10 +15,9 @@ type queue struct {
 	head    int // index of the oldest element
 	n       int // occupied count
 
-	peak     int   // deepest the queue ever got
-	overflow int   // shed-oldest evictions
-	evicted  []int // evictions by victim's producer index
-	rr       int32 // rotating tie-break cursor for fair eviction
+	peak    int   // deepest the queue ever got
+	evicted []int // evictions by victim's producer index
+	rr      int32 // rotating tie-break cursor for fair eviction
 }
 
 func newQueue(depth int) *queue {
@@ -43,7 +42,6 @@ func (q *queue) push(s stamped, evict bool) (evicted bool, victim stamped) {
 	for q.n == len(q.buf) {
 		if evict {
 			victim = q.evictLocked(s.prod)
-			q.overflow++
 			evicted = true
 			break
 		}
@@ -144,11 +142,11 @@ func (q *queue) len() int {
 	return q.n
 }
 
-// stats reports the peak depth and shed-oldest eviction count.
-func (q *queue) stats() (peak, overflow int) {
+// peakDepth reports the deepest the queue ever got.
+func (q *queue) peakDepth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.peak, q.overflow
+	return q.peak
 }
 
 // evictions reports the per-producer eviction counts (victim's index).

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -323,8 +324,8 @@ func TestAdaptiveShedDeterministic(t *testing.T) {
 			t.Fatalf("refused %v, want %v", refused, want)
 		}
 	}
-	if got := gw.shedAdaptive.Load(); got != 3 {
-		t.Fatalf("shedAdaptive = %d, want 3", got)
+	if got := gw.live.Load(obs.ShedAdaptive); got != 3 {
+		t.Fatalf("adaptive sheds = %d, want 3", got)
 	}
 	if got := drainAll(gw); len(got) != 9 {
 		t.Fatalf("released %d requests, want 9", len(got))

@@ -13,19 +13,13 @@ import (
 
 func TestLiveNilSafe(t *testing.T) {
 	var l *Live
-	l.AddRequests(1)
-	l.AddMatched(1)
-	l.AddRejected(1)
-	l.AddAdmitted(1)
-	l.AddShedOverflow(1)
-	l.AddShedDeadline(1)
-	l.AddCompleted(1)
-	l.AddFlushes(1)
-	l.AddConflicts(1)
-	l.SetBacklog(5)
-	s := l.Snapshot()
-	if len(s) != len(liveMetrics) {
-		t.Fatalf("nil Live snapshot has %d keys, want one per liveMetrics row (%d)", len(s), len(liveMetrics))
+	for c := Counter(0); c < numCounters; c++ {
+		l.Add(c, 1)
+		l.Set(c, 5)
+	}
+	s := l.Snapshot(nil)
+	if len(s) != len(liveMetrics)+3 {
+		t.Fatalf("nil Live snapshot has %d keys, want one per liveMetrics row plus 3 SLO keys (%d)", len(s), len(liveMetrics)+3)
 	}
 	for k, v := range s {
 		if v != 0 {
@@ -37,27 +31,29 @@ func TestLiveNilSafe(t *testing.T) {
 // TestLiveMetricsExposition pins the read side of every live counter: the
 // JSON snapshot keys and the Prometheus family names, help text and types
 // that /metrics has served since the exposition was added. Both formats
-// come from the one liveMetrics table (plus SLOTracker.WriteProm on gateway
-// runs), so a row added there lands in both and must be added here.
+// come from the one liveMetrics table plus the SLOTracker's account, so a
+// row added there lands in both and must be added here.
 func TestLiveMetricsExposition(t *testing.T) {
 	l := &Live{}
-	l.AddRequests(9)
-	l.AddMatched(7)
-	l.AddRejected(2)
-	l.AddAdmitted(10)
-	l.AddShedOverflow(1)
-	l.AddShedDeadline(3)
-	l.AddShedAdaptive(4)
-	l.AddCompleted(6)
-	l.AddFlushes(5)
-	l.AddConflicts(8)
-	l.SetBacklog(11)
-	l.SetShedLevel(250)
-	l.AddSLOGood(12)
-	l.AddSLOBad(13)
-	l.SetBurnPM(1500)
+	for c, v := range map[Counter]int64{
+		Requests: 9, Matched: 7, Rejected: 2, Admitted: 10, ShedOverflow: 1, ShedDeadline: 3,
+		ShedAdaptive: 4, Completed: 6, Flushes: 5, Conflicts: 8,
+	} {
+		l.Add(c, v)
+	}
+	l.Set(Backlog, 11)
+	l.Set(ShedLevel, 250)
 
-	js, err := json.Marshal(l.Snapshot())
+	// 12 good and 13 bad outcomes over the run, of which the rolling
+	// window still holds 20 with 3 bad: 15% bad against a 10% budget, a
+	// burn of 1.5.
+	budget := NewSLOTracker(0.9, time.Hour)
+	for i := 0; i < 25; i++ {
+		budget.Observe(i < 12)
+	}
+	budget.slots[budget.cur] = sloSlot{good: 17, bad: 3}
+
+	js, err := json.Marshal(l.Snapshot(budget))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +71,13 @@ func TestLiveMetricsExposition(t *testing.T) {
 	slo.Observe(false)
 	var buf bytes.Buffer
 	pw := NewPromWriter(&buf)
-	l.WriteProm(pw)
-	slo.WriteProm(pw)
-	(*SLOTracker)(nil).WriteProm(pw) // no tracker (no gateway): exposes nothing
+	l.WriteProm(pw, slo)
+	if err := pw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var noSLO bytes.Buffer // no tracker (no gateway): the SLO families are absent
+	pw = NewPromWriter(&noSLO)
+	l.WriteProm(pw, nil)
 	if err := pw.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ ridesim_matched_total 7
 # HELP ridesim_rejected_total Requests no vehicle could serve.
 # TYPE ridesim_rejected_total counter
 ridesim_rejected_total 2
-# HELP ridesim_admitted_total Requests stamped into the gateway order.
+# HELP ridesim_admitted_total Requests released from the gateway to the engine.
 # TYPE ridesim_admitted_total counter
 ridesim_admitted_total 10
 # HELP ridesim_shed_overflow_total Requests shed for queue overflow.
@@ -136,6 +136,9 @@ ridesim_slo_budget_consumed 2.5000000000000004
 	if got := buf.String(); got != wantProm {
 		t.Fatalf("Prometheus exposition drifted:\n got:\n%s\nwant:\n%s", got, wantProm)
 	}
+	if got := noSLO.String(); !strings.HasPrefix(wantProm, got) || strings.Contains(got, "slo") {
+		t.Fatalf("exposition without a tracker is not the counters alone:\n%s", got)
+	}
 }
 
 func TestLiveCountersConcurrent(t *testing.T) {
@@ -146,13 +149,13 @@ func TestLiveCountersConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				l.AddRequests(1)
-				l.AddMatched(1)
+				l.Add(Requests, 1)
+				l.Add(Matched, 1)
 			}
 		}()
 	}
 	wg.Wait()
-	s := l.Snapshot()
+	s := l.Snapshot(nil)
 	if s["requests"] != 8000 || s["matched"] != 8000 {
 		t.Fatalf("snapshot = %+v, want 8000 requests/matched", s)
 	}
@@ -179,9 +182,9 @@ func (b *syncBuffer) String() string {
 
 func TestReporterEmitsIntervalLines(t *testing.T) {
 	l := &Live{}
-	l.AddRequests(7)
+	l.Add(Requests, 7)
 	var buf syncBuffer
-	r := NewReporter(&buf, 10*time.Millisecond, func() any { return l.Snapshot() })
+	r := NewReporter(&buf, 10*time.Millisecond, func() any { return l.Snapshot(nil) })
 	time.Sleep(35 * time.Millisecond)
 	r.Stop()
 
@@ -210,9 +213,9 @@ func TestReporterEmitsIntervalLines(t *testing.T) {
 // Stops add nothing.
 func TestReporterStopFlushesOnceIdempotent(t *testing.T) {
 	l := &Live{}
-	l.AddRequests(3)
+	l.Add(Requests, 3)
 	var buf syncBuffer
-	r := NewReporter(&buf, time.Hour, func() any { return l.Snapshot() })
+	r := NewReporter(&buf, time.Hour, func() any { return l.Snapshot(nil) })
 	r.Stop()
 	r.Stop()
 	r.Stop()
@@ -231,8 +234,8 @@ func TestReporterStopFlushesOnceIdempotent(t *testing.T) {
 
 func TestServeMetricsAndPprof(t *testing.T) {
 	l := &Live{}
-	l.AddMatched(3)
-	s, err := Serve("127.0.0.1:0", func() any { return l.Snapshot() })
+	l.Add(Matched, 3)
+	s, err := Serve("127.0.0.1:0", l, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,18 +5,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 )
 
 // Prometheus text exposition (format version 0.0.4, which OpenMetrics
 // scrapers also accept) for the obs metric surface, so a stock
-// Prometheus can scrape the same endpoint the JSON consumers read.
-// Counters and gauges map directly; the log-linear Histogram is exported
-// as a native histogram metric family — cumulative `_bucket{le="..."}`
-// series over the non-empty buckets plus `+Inf`, `_sum`, and `_count` —
-// so PromQL's histogram_quantile sees the true bucket layout instead of
-// a lossy quantile digest.
+// Prometheus can scrape the same endpoint the JSON consumers read. Every
+// family is one unlabelled counter or gauge series.
 
 // promContentType is the scrape response content type.
 const promContentType = "text/plain; version=0.0.4; charset=utf-8"
@@ -37,9 +32,8 @@ func wantsProm(req *http.Request) bool {
 
 // PromWriter renders metric families in the Prometheus text format. Use
 // one writer per scrape; families are written in call order, and Flush
-// must be called last. Metric and label names are the caller's
-// responsibility ([a-zA-Z_:][a-zA-Z0-9_:]*); label values are escaped
-// here.
+// must be called last. Metric names are the caller's responsibility
+// ([a-zA-Z_:][a-zA-Z0-9_:]*).
 type PromWriter struct {
 	w   *bufio.Writer
 	err error
@@ -49,9 +43,6 @@ type PromWriter struct {
 func NewPromWriter(w io.Writer) *PromWriter {
 	return &PromWriter{w: bufio.NewWriter(w)}
 }
-
-// Err returns the first write error, if any.
-func (p *PromWriter) Err() error { return p.err }
 
 // Flush flushes the buffered exposition and returns the first error.
 func (p *PromWriter) Flush() error {
@@ -70,86 +61,18 @@ func (p *PromWriter) printf(format string, args ...any) {
 	}
 }
 
-// escapeLabelValue escapes a label value per the text format: backslash,
-// double quote, and newline.
-func escapeLabelValue(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	return strings.ReplaceAll(v, `"`, `\"`)
-}
-
-// labelString renders a label set as {k="v",...} with keys sorted for a
-// deterministic exposition ("" when empty).
-func labelString(labels map[string]string) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, `%s="%s"`, k, escapeLabelValue(labels[k]))
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
 func (p *PromWriter) header(name, help, typ string) {
 	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
 // Counter writes one counter family with a single series.
-func (p *PromWriter) Counter(name, help string, v int64, labels map[string]string) {
+func (p *PromWriter) Counter(name, help string, v int64) {
 	p.header(name, help, "counter")
-	p.printf("%s%s %d\n", name, labelString(labels), v)
+	p.printf("%s %d\n", name, v)
 }
 
 // Gauge writes one gauge family with a single series.
-func (p *PromWriter) Gauge(name, help string, v float64, labels map[string]string) {
+func (p *PromWriter) Gauge(name, help string, v float64) {
 	p.header(name, help, "gauge")
-	p.printf("%s%s %g\n", name, labelString(labels), v)
-}
-
-// Histogram writes one histogram family from an obs Histogram: a
-// cumulative `le` bucket series per non-empty log-linear bucket (le is
-// the bucket's inclusive upper bound), the mandatory `le="+Inf"` series,
-// and the exact `_sum` and `_count`. Empty and nil histograms export
-// just the +Inf/zero skeleton so the family is always present. The
-// caller must read the histogram at quiescence or hand in a Clone —
-// PromWriter does not add locking the type itself doesn't have.
-func (p *PromWriter) Histogram(name, help string, h *Histogram, labels map[string]string) {
-	p.header(name, help, "histogram")
-	base := labelString(labels)
-	// Re-render labels with le appended, preserving sorted-key order of
-	// the base set (le goes last for readability; order is not
-	// significant to scrapers).
-	series := func(le string, cum uint64) {
-		if base == "" {
-			p.printf("%s_bucket{le=\"%s\"} %d\n", name, le, cum)
-			return
-		}
-		p.printf("%s_bucket%s %d\n", name,
-			base[:len(base)-1]+`,le="`+le+`"}`, cum)
-	}
-	var cum uint64
-	if h != nil {
-		for i := 0; i < numBuckets; i++ {
-			c := h.counts[i]
-			if c == 0 {
-				continue
-			}
-			cum += c
-			lo, width := bucketBounds(i)
-			series(fmt.Sprintf("%d", lo+width-1), cum)
-		}
-	}
-	series("+Inf", cum)
-	p.printf("%s_sum%s %d\n%s_count%s %d\n", name, base, h.Sum(), name, base, h.Count())
+	p.printf("%s %g\n", name, v)
 }

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func expose(t *testing.T, fn func(*PromWriter)) string {
@@ -21,66 +22,17 @@ func expose(t *testing.T, fn func(*PromWriter)) string {
 
 func TestPromCounterAndGauge(t *testing.T) {
 	got := expose(t, func(pw *PromWriter) {
-		pw.Counter("rides_matched_total", "Matched requests.", 5, map[string]string{"mode": "batch"})
-		pw.Gauge("rides_burn", "Burn rate.", 1.5, nil)
+		pw.Counter("rides_matched_total", "Matched requests.", 5)
+		pw.Gauge("rides_burn", "Burn rate.", 1.5)
 	})
 	want := "# HELP rides_matched_total Matched requests.\n" +
 		"# TYPE rides_matched_total counter\n" +
-		`rides_matched_total{mode="batch"} 5` + "\n" +
+		"rides_matched_total 5\n" +
 		"# HELP rides_burn Burn rate.\n" +
 		"# TYPE rides_burn gauge\n" +
 		"rides_burn 1.5\n"
 	if got != want {
 		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-func TestPromLabelSortingAndEscaping(t *testing.T) {
-	got := expose(t, func(pw *PromWriter) {
-		pw.Counter("m", "h", 1, map[string]string{
-			"z": "a\\b\"c\nd",
-			"a": "plain",
-		})
-	})
-	if !strings.Contains(got, `m{a="plain",z="a\\b\"c\nd"} 1`) {
-		t.Fatalf("labels not sorted/escaped:\n%s", got)
-	}
-}
-
-func TestPromHistogramBuckets(t *testing.T) {
-	h := NewHistogram()
-	for _, v := range []int64{1, 1, 3, 1000} {
-		h.Record(v)
-	}
-	got := expose(t, func(pw *PromWriter) {
-		pw.Histogram("rides_wait_ns", "Gateway wait.", h, map[string]string{"shard": "0"})
-	})
-	// Small values sit in exact width-1 buckets (le = value); 1000 lands
-	// in the [960, 1023] log-linear bucket. Bucket counts are cumulative.
-	want := "# HELP rides_wait_ns Gateway wait.\n" +
-		"# TYPE rides_wait_ns histogram\n" +
-		`rides_wait_ns_bucket{shard="0",le="1"} 2` + "\n" +
-		`rides_wait_ns_bucket{shard="0",le="3"} 3` + "\n" +
-		`rides_wait_ns_bucket{shard="0",le="1023"} 4` + "\n" +
-		`rides_wait_ns_bucket{shard="0",le="+Inf"} 4` + "\n" +
-		`rides_wait_ns_sum{shard="0"} 1005` + "\n" +
-		`rides_wait_ns_count{shard="0"} 4` + "\n"
-	if got != want {
-		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-func TestPromHistogramNilAndEmptySkeleton(t *testing.T) {
-	for name, h := range map[string]*Histogram{"nil": nil, "empty": NewHistogram()} {
-		got := expose(t, func(pw *PromWriter) {
-			pw.Histogram("e", "h", h, nil)
-		})
-		want := "# HELP e h\n# TYPE e histogram\n" +
-			`e_bucket{le="+Inf"} 0` + "\n" +
-			"e_sum 0\ne_count 0\n"
-		if got != want {
-			t.Fatalf("%s histogram exposition:\n%s\nwant:\n%s", name, got, want)
-		}
 	}
 }
 
@@ -112,12 +64,8 @@ func TestWantsProm(t *testing.T) {
 
 func TestServeNegotiatesPromAndJSON(t *testing.T) {
 	l := &Live{}
-	l.AddMatched(3)
-	s, err := Serve("127.0.0.1:0",
-		func() any { return l.Snapshot() },
-		func(pw *PromWriter) {
-			pw.Counter("rides_matched_total", "Matched.", l.Matched.Load(), nil)
-		})
+	l.Add(Matched, 3)
+	s, err := Serve("127.0.0.1:0", l, NewSLOTracker(0.9, time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +101,7 @@ func TestServeNegotiatesPromAndJSON(t *testing.T) {
 		if ct != promContentType {
 			t.Fatalf("GET %s Accept=%q: content type = %q", variant.path, variant.accept, ct)
 		}
-		if !strings.Contains(body, "rides_matched_total 3") {
+		if !strings.Contains(body, "ridesim_matched_total 3") || !strings.Contains(body, "ridesim_slo_objective 0.9") {
 			t.Fatalf("GET %s: exposition missing counter:\n%s", variant.path, body)
 		}
 	}

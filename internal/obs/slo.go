@@ -20,7 +20,9 @@ import (
 // The burn rate is the standard multi-window SLO signal: the window's
 // bad fraction divided by the allowed fraction (1 - objective), so 1.0
 // means exactly on budget, 10 means burning ten times too fast, and 0
-// means a clean window.
+// means a clean window. The tracker is the only place these outcomes are
+// counted: Live.Snapshot, Live.WriteProm and sim's JSON snapshot read the
+// account from it.
 //
 // Concurrency: Observe is mutex-guarded — it is called from the gateway
 // drainer per release and from producer goroutines on admission sheds.
@@ -152,12 +154,6 @@ func (t *SLOTracker) Snapshot() SLOSnapshot {
 	return s
 }
 
-// BurnPerMille returns the current burn rate scaled by 1000 (1000 =
-// burning exactly at budget), for the Live gauge. Nil-safe: 0.
-func (t *SLOTracker) BurnPerMille() int64 {
-	return int64(t.Snapshot().BurnRate * 1000)
-}
-
 // WriteProm renders the error-budget account in the Prometheus text
 // format. Nil-safe: a run without a tracker (no gateway) exposes nothing.
 func (t *SLOTracker) WriteProm(pw *PromWriter) {
@@ -165,9 +161,9 @@ func (t *SLOTracker) WriteProm(pw *PromWriter) {
 		return
 	}
 	s := t.Snapshot()
-	pw.Counter("ridesim_slo_good_total", "Requests released within the wall-clock SLO.", s.Good, nil)
-	pw.Counter("ridesim_slo_bad_total", "Requests released late or shed against the SLO budget.", s.Bad, nil)
-	pw.Gauge("ridesim_slo_objective", "Configured good-fraction objective.", s.Objective, nil)
-	pw.Gauge("ridesim_slo_burn_rate", "Rolling-window error-budget burn rate (1 = on budget).", s.BurnRate, nil)
-	pw.Gauge("ridesim_slo_budget_consumed", "Fraction of the lifetime error budget consumed.", s.BudgetConsumed, nil)
+	pw.Counter("ridesim_slo_good_total", "Requests released within the wall-clock SLO.", s.Good)
+	pw.Counter("ridesim_slo_bad_total", "Requests released late or shed against the SLO budget.", s.Bad)
+	pw.Gauge("ridesim_slo_objective", "Configured good-fraction objective.", s.Objective)
+	pw.Gauge("ridesim_slo_burn_rate", "Rolling-window error-budget burn rate (1 = on budget).", s.BurnRate)
+	pw.Gauge("ridesim_slo_budget_consumed", "Fraction of the lifetime error budget consumed.", s.BudgetConsumed)
 }

@@ -16,7 +16,7 @@ func TestSLOTrackerNilSafe(t *testing.T) {
 	if s := tr.Snapshot(); s != (SLOSnapshot{}) {
 		t.Fatalf("nil snapshot = %+v, want zero", s)
 	}
-	if tr.BurnPerMille() != 0 || tr.Objective() != 0 {
+	if tr.Objective() != 0 {
 		t.Fatal("nil tracker reported a burn rate or objective")
 	}
 }
@@ -51,8 +51,8 @@ func TestSLOTrackerAccounting(t *testing.T) {
 	if !near(s.BudgetConsumed, 1.0) {
 		t.Fatalf("budget consumed = %v, want 1.0", s.BudgetConsumed)
 	}
-	if !near(s.BurnRate, 1.0) || tr.BurnPerMille() != 1000 {
-		t.Fatalf("burn = %v (%d pm), want 1.0 (1000 pm)", s.BurnRate, tr.BurnPerMille())
+	if !near(s.BurnRate, 1.0) {
+		t.Fatalf("burn = %v, want 1.0", s.BurnRate)
 	}
 }
 
@@ -70,7 +70,7 @@ func TestSLOTrackerBurnExtremes(t *testing.T) {
 		burning.Observe(false)
 	}
 	// Every request bad against a 10% budget: burning 10x too fast.
-	if s := burning.Snapshot(); !near(s.BurnRate, 10) || burning.BurnPerMille() != 10000 {
+	if s := burning.Snapshot(); !near(s.BurnRate, 10) {
 		t.Fatalf("all-bad burn = %v, want 10", s.BurnRate)
 	}
 

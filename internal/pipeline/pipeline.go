@@ -108,6 +108,12 @@ func (s Spec) resolve() (r resolved, err error) {
 		return r, fmt.Errorf("pipeline: -wait must be positive, got %v", s.WaitMinutes)
 	case !(s.EpsPercent > 0):
 		return r, fmt.Errorf("pipeline: -eps must be positive, got %v", s.EpsPercent)
+	case s.SLO <= 0:
+		// ingest.Config reads a non-positive SLO as its 500 ms default.
+		return r, fmt.Errorf("pipeline: -slo must be positive, got %v", s.SLO)
+	case obs.NewSLOTracker(s.SLOObjective, 0).Objective() != s.SLOObjective:
+		// The tracker clamps into its supported range (and keeps NaN).
+		return r, fmt.Errorf("pipeline: -slo-objective must be within [0.5, 0.9999], got %v", s.SLOObjective)
 	}
 	if r.algo, err = parseAlgo(s.Algo); err != nil {
 		return r, err

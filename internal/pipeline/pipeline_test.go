@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/ingest"
@@ -60,6 +61,11 @@ func TestSpecValidation(t *testing.T) {
 		{"zero eps", func(s *Spec) { s.EpsPercent = 0 }, "-eps must be positive"},
 		{"negative eps", func(s *Spec) { s.EpsPercent = -20 }, "-eps must be positive"},
 		{"no servers", func(s *Spec) { s.Servers = 0 }, "-servers must be positive"},
+		{"zero slo", func(s *Spec) { s.SLO = 0 }, "-slo must be positive"},
+		{"negative slo", func(s *Spec) { s.SLO = -time.Second }, "-slo must be positive"},
+		{"NaN slo objective", func(s *Spec) { s.SLOObjective = math.NaN() }, "-slo-objective must be within"},
+		{"low slo objective", func(s *Spec) { s.SLOObjective = 0.3 }, "-slo-objective must be within"},
+		{"high slo objective", func(s *Spec) { s.SLOObjective = 1 }, "-slo-objective must be within"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -92,6 +98,13 @@ func TestSpecValidation(t *testing.T) {
 		s.FaultPlan = name
 		if err := s.Validate(); err != nil {
 			t.Errorf("fault plan %q: %v", name, err)
+		}
+	}
+	for _, objective := range []float64{0.5, 0.9, 0.9999} {
+		s := Default()
+		s.SLOObjective = objective
+		if err := s.Validate(); err != nil {
+			t.Errorf("slo objective %v: %v", objective, err)
 		}
 	}
 	if _, err := Build(nil, Default(), Hooks{}); err == nil {

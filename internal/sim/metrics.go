@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"time"
 
@@ -16,9 +17,8 @@ import (
 
 // Metrics aggregates the measurements the paper reports.
 type Metrics struct {
-	Requests int // requests submitted
-	Matched  int // requests assigned to a server
-	Rejected int // requests no server could satisfy
+	Counters
+	Peaks
 
 	// ACRT (average customer response time): total wall-clock time spent
 	// completing the search for the best vehicle across all requests
@@ -26,38 +26,11 @@ type Metrics struct {
 	// minimum time needed to satisfy a new request").
 	acrtTotal time.Duration
 
-	// ACRTSamples counts the AddACRT calls folded into acrtTotal. Both
-	// engine modes attribute search time per request — immediate mode records
-	// one sample per Submit, batch mode one per batch item (its share of
-	// the phase-1 fan-out plus any conflict-repair retrial) — so a run
-	// with consistent accounting has ACRTSamples == Requests.
-	ACRTSamples int
-
 	// ART (average response time) bucketed by the number of requests
 	// already scheduled on the candidate vehicle (paper: "we calculate
 	// ART separately for different current request sizes").
 	artTotal map[int]time.Duration
 	artCount map[int]int
-
-	TrialCalls    int // scheduling trials performed
-	TrialFailures int // trials that found no valid augmented schedule
-	OverBudget    int // tree trials aborted by the candidate-size budget
-	// (the paper's 3 GB cutoff analogue)
-
-	// Batch-window conflict repair (internal/dispatch batch mode): a
-	// request whose retained phase-1 candidates were dirtied by an earlier
-	// commit in the same flush is repaired by re-trialing only the dirty
-	// candidates. RetrialTrialsSaved counts the trial insertions a full
-	// re-fan-out would have re-run but incremental repair skipped.
-	ConflictsRepaired  int
-	RetrialTrialsSaved int
-
-	// Service statistics.
-	Completed        int     // trips dropped off
-	TotalWaitMeters  float64 // sum of pickup distances (request -> pickup)
-	TotalRideMeters  float64 // sum of in-vehicle distances
-	TotalShortestLen float64 // sum of d(s, e) over completed trips
-	Violations       int     // service-guarantee violations (must stay 0)
 
 	// Occupancy (paper §VI-B, unlimited capacity): the distribution of
 	// per-server peak simultaneous passengers, one sample per drained
@@ -78,8 +51,46 @@ type Metrics struct {
 	DistHitLatency  *obs.Histogram
 	DistMissLatency *obs.Histogram
 
-	TotalVehicleMeters float64 // fleet distance traveled
-	TreeNodesMax       int     // largest committed kinetic tree observed
+	// IngressWait is the distribution of wall time (ns) each admitted
+	// request spent in the gateway, admission to handoff.
+	IngressWait *obs.Histogram
+}
+
+// Counters are the additive measurements. Each is declared once, here,
+// with the key it carries in the JSON Snapshot (which embeds Counters), and
+// Merge sums every field, so a new counter needs no other line.
+type Counters struct {
+	Requests   int `json:"requests"`   // requests submitted
+	Matched    int `json:"matched"`    // requests assigned to a server
+	Rejected   int `json:"rejected"`   // requests no server could satisfy
+	Completed  int `json:"completed"`  // trips dropped off
+	Violations int `json:"violations"` // service-guarantee violations (must stay 0)
+
+	// ACRTSamples counts the AddACRT calls folded into acrtTotal. Both
+	// engine modes attribute search time per request — immediate mode records
+	// one sample per Submit, batch mode one per batch item (its share of
+	// the phase-1 fan-out plus any conflict-repair retrial) — so a run
+	// with consistent accounting has ACRTSamples == Requests.
+	ACRTSamples int `json:"acrt_samples"`
+
+	TrialCalls    int `json:"trial_calls"`    // scheduling trials performed
+	TrialFailures int `json:"trial_failures"` // trials that found no valid augmented schedule
+	OverBudget    int `json:"over_budget"`    // tree trials aborted by the candidate-size budget
+	// (the paper's 3 GB cutoff analogue)
+
+	// Batch-window conflict repair (internal/dispatch batch mode): a
+	// request whose retained phase-1 candidates were dirtied by an earlier
+	// commit in the same flush is repaired by re-trialing only the dirty
+	// candidates. RetrialTrialsSaved counts the trial insertions a full
+	// re-fan-out would have re-run but incremental repair skipped.
+	ConflictsRepaired  int `json:"conflicts_repaired"`
+	RetrialTrialsSaved int `json:"retrial_trials_saved"`
+
+	// Service statistics.
+	TotalWaitMeters    float64 `json:"total_wait_meters"`    // sum of pickup distances (request -> pickup)
+	TotalRideMeters    float64 `json:"total_ride_meters"`    // sum of in-vehicle distances
+	TotalShortestLen   float64 `json:"-"`                    // sum of d(s, e) over completed trips
+	TotalVehicleMeters float64 `json:"total_vehicle_meters"` // fleet distance traveled
 
 	// Oracle-stack counters (paper §VI's distance LRU, cache.Shared), set
 	// from the engine's oracle stack when it exposes them — aggregated
@@ -87,50 +98,62 @@ type Metrics struct {
 	// when the oracle has no cache. There is no path cache: PathCacheHits
 	// is always 0 and PathCacheMisses counts the path searches the stack
 	// ran; both stay for the benchmark suite's layer model.
-	DistCacheHits   uint64
-	DistCacheMisses uint64
-	PathCacheHits   uint64
-	PathCacheMisses uint64
+	DistCacheHits   uint64 `json:"dist_cache_hits"`
+	DistCacheMisses uint64 `json:"dist_cache_misses"`
+	PathCacheHits   uint64 `json:"path_cache_hits"`
+	PathCacheMisses uint64 `json:"path_cache_misses"`
 
 	// Ingress-gateway counters (internal/ingest), zero when requests are
 	// fed directly. Admitted counts requests that cleared admission and
 	// were handed to an engine; ShedOverflow counts requests evicted by a
 	// full queue under the shed-oldest policy, ShedDeadline requests
 	// dropped because their waiting-time window was already blown before
-	// they could be dispatched. IngressQueuePeak is the deepest any
-	// admission queue ever got. ShedAdaptive counts requests the
+	// they could be dispatched. ShedAdaptive counts requests the
 	// adaptive admission controller refused (probabilistic admission
-	// shed or wall-SLO handoff shed); AdmissionShedPeakPM is the highest
-	// shed level (per mille) the controller reached, and
-	// AdmissionTransitions how many times it crossed between the open
-	// and shedding states.
-	Admitted             int
-	ShedOverflow         int
-	ShedDeadline         int
-	ShedAdaptive         int
-	IngressQueuePeak     int
-	AdmissionShedPeakPM  int
-	AdmissionTransitions int
+	// shed or wall-SLO handoff shed), and AdmissionTransitions how many
+	// times it crossed between the open and shedding states.
+	Admitted             int `json:"admitted"`
+	ShedOverflow         int `json:"shed_overflow"`
+	ShedDeadline         int `json:"shed_deadline"`
+	ShedAdaptive         int `json:"shed_adaptive"`
+	AdmissionTransitions int `json:"admission_transitions"`
+}
 
-	// SLO error-budget account (internal/obs SLOTracker, fed by the
-	// gateway): SLOGood counts requests released within the wall-clock
-	// SLO, SLOBad late releases plus SLO-motivated sheds. SLOObjective is
-	// the configured good-fraction target (0 when no tracker ran).
-	SLOGood      int
-	SLOBad       int
-	SLOObjective float64
+// add sums o into c, field by field.
+func (c *Counters) add(o *Counters) {
+	cv, ov := reflect.ValueOf(c).Elem(), reflect.ValueOf(o).Elem()
+	for i := 0; i < cv.NumField(); i++ {
+		f, g := cv.Field(i), ov.Field(i)
+		switch f.Kind() {
+		case reflect.Int:
+			f.SetInt(f.Int() + g.Int())
+		case reflect.Uint64:
+			f.SetUint(f.Uint() + g.Uint())
+		case reflect.Float64:
+			f.SetFloat(f.Float() + g.Float())
+		default:
+			panic("sim: Counters has a field add cannot sum: " + cv.Type().Field(i).Name)
+		}
+	}
+}
 
-	// IngressWait is the distribution of wall time (ns) each admitted
-	// request spent in the gateway, admission to handoff.
-	IngressWait *obs.Histogram
+// Peaks are the measurements that merge by keeping the larger value,
+// declared once with their JSON Snapshot keys like Counters.
+type Peaks struct {
+	TreeNodesMax int `json:"tree_nodes_max"` // largest committed kinetic tree observed
+	// IngressQueuePeak is the deepest any admission queue ever got, and
+	// AdmissionShedPeakPM the highest shed level (per mille) the adaptive
+	// admission controller reached.
+	IngressQueuePeak    int `json:"ingress_queue_peak"`
+	AdmissionShedPeakPM int `json:"admission_peak_shed_pm"`
 
 	// Engine-capacity parameters the run actually used — derived when
 	// Config.AutoTune is set, configured otherwise. The engine records
 	// them at construction; shard-local metrics leave them zero, and
 	// Merge keeps the maximum so aggregation never erases them.
-	AutoTuned     bool    // Config.AutoTune was set
-	TunedShards   int     // fleet partition count
-	TunedCellSize float64 // spatial-index cell size in meters
+	AutoTuned     bool    `json:"auto_tuned"`        // Config.AutoTune was set
+	TunedShards   int     `json:"tuned_shards"`      // fleet partition count
+	TunedCellSize float64 `json:"tuned_cell_size_m"` // spatial-index cell size in meters
 }
 
 // SetTuning records the capacity parameters the engine resolved at
@@ -198,30 +221,23 @@ func (m *Metrics) AddACRT(d time.Duration) {
 
 // Merge folds o into m: counters and totals add, ART buckets combine,
 // histograms merge (equivalent to recording the union of their samples),
-// and maxima take the larger value. Merging per-shard metrics in shard
+// and peaks take the larger value. Merging per-shard metrics in shard
 // order yields deterministic totals for a fixed shard count.
 func (m *Metrics) Merge(o *Metrics) {
-	m.Requests += o.Requests
-	m.Matched += o.Matched
-	m.Rejected += o.Rejected
+	m.Counters.add(&o.Counters)
+	m.TreeNodesMax = max(m.TreeNodesMax, o.TreeNodesMax)
+	m.IngressQueuePeak = max(m.IngressQueuePeak, o.IngressQueuePeak)
+	m.AdmissionShedPeakPM = max(m.AdmissionShedPeakPM, o.AdmissionShedPeakPM)
+	m.AutoTuned = m.AutoTuned || o.AutoTuned
+	m.TunedShards = max(m.TunedShards, o.TunedShards)
+	m.TunedCellSize = max(m.TunedCellSize, o.TunedCellSize)
 	m.acrtTotal += o.acrtTotal
-	m.ACRTSamples += o.ACRTSamples
 	for k, d := range o.artTotal {
 		m.artTotal[k] += d
 	}
 	for k, c := range o.artCount {
 		m.artCount[k] += c
 	}
-	m.TrialCalls += o.TrialCalls
-	m.TrialFailures += o.TrialFailures
-	m.OverBudget += o.OverBudget
-	m.ConflictsRepaired += o.ConflictsRepaired
-	m.RetrialTrialsSaved += o.RetrialTrialsSaved
-	m.Completed += o.Completed
-	m.TotalWaitMeters += o.TotalWaitMeters
-	m.TotalRideMeters += o.TotalRideMeters
-	m.TotalShortestLen += o.TotalShortestLen
-	m.Violations += o.Violations
 	m.Occupancy.Merge(o.Occupancy)
 	m.MatchLatency.Merge(o.MatchLatency)
 	m.FlushLatency.Merge(o.FlushLatency)
@@ -230,56 +246,12 @@ func (m *Metrics) Merge(o *Metrics) {
 	m.ReleaseLagMs.Merge(o.ReleaseLagMs)
 	m.DistHitLatency.Merge(o.DistHitLatency)
 	m.DistMissLatency.Merge(o.DistMissLatency)
-	m.TotalVehicleMeters += o.TotalVehicleMeters
-	if o.TreeNodesMax > m.TreeNodesMax {
-		m.TreeNodesMax = o.TreeNodesMax
-	}
-	m.DistCacheHits += o.DistCacheHits
-	m.DistCacheMisses += o.DistCacheMisses
-	m.PathCacheHits += o.PathCacheHits
-	m.PathCacheMisses += o.PathCacheMisses
-	m.Admitted += o.Admitted
-	m.ShedOverflow += o.ShedOverflow
-	m.ShedDeadline += o.ShedDeadline
-	m.ShedAdaptive += o.ShedAdaptive
-	if o.AdmissionShedPeakPM > m.AdmissionShedPeakPM {
-		m.AdmissionShedPeakPM = o.AdmissionShedPeakPM
-	}
-	m.AdmissionTransitions += o.AdmissionTransitions
-	m.SLOGood += o.SLOGood
-	m.SLOBad += o.SLOBad
-	if o.SLOObjective > m.SLOObjective {
-		m.SLOObjective = o.SLOObjective
-	}
-	if o.IngressQueuePeak > m.IngressQueuePeak {
-		m.IngressQueuePeak = o.IngressQueuePeak
-	}
 	m.IngressWait.Merge(o.IngressWait)
-	m.AutoTuned = m.AutoTuned || o.AutoTuned
-	if o.TunedShards > m.TunedShards {
-		m.TunedShards = o.TunedShards
-	}
-	if o.TunedCellSize > m.TunedCellSize {
-		m.TunedCellSize = o.TunedCellSize
-	}
 }
 
 // Shed is the total number of requests the ingress gateway dropped, over
 // every shed reason.
 func (m *Metrics) Shed() int { return m.ShedOverflow + m.ShedDeadline + m.ShedAdaptive }
-
-// SLOBudgetConsumed returns the fraction of the run's SLO error budget
-// the bad outcomes spent: bad / (allowed-bad-fraction x total outcomes).
-// 1.0 means the budget is exactly exhausted, >1 the objective was missed.
-// 0 when no tracker ran or nothing was observed.
-func (m *Metrics) SLOBudgetConsumed() float64 {
-	total := m.SLOGood + m.SLOBad
-	allowed := 1 - m.SLOObjective
-	if total == 0 || allowed <= 0 {
-		return 0
-	}
-	return float64(m.SLOBad) / (float64(total) * allowed)
-}
 
 // AddIngressWait records one admitted request's gateway residence time
 // (admission to handoff).
@@ -379,56 +351,31 @@ func (m *Metrics) String() string {
 		m.ACRT(), m.TrialCalls, max, mean, top, m.MeanDetourFactor())
 }
 
-// Snapshot is the JSON-serializable view of Metrics.
+// Snapshot is the JSON-serializable view of Metrics: its Counters and
+// Peaks as declared, plus the values derived from the totals and
+// histograms, plus the run's SLO error-budget account.
 type Snapshot struct {
-	Requests      int         `json:"requests"`
-	Matched       int         `json:"matched"`
-	Rejected      int         `json:"rejected"`
-	Completed     int         `json:"completed"`
-	Violations    int         `json:"violations"`
-	ACRTNanos     int64       `json:"acrt_ns"`
-	ACRTSamples   int         `json:"acrt_samples"`
-	TrialCalls    int         `json:"trial_calls"`
-	TrialFailures int         `json:"trial_failures"`
-	OverBudget    int         `json:"over_budget"`
-	ART           []ARTBucket `json:"art"`
+	Counters
+	Peaks
 
-	ConflictsRepaired  int     `json:"conflicts_repaired"`
-	RetrialTrialsSaved int     `json:"retrial_trials_saved"`
-	WaitMeters         float64 `json:"total_wait_meters"`
-	RideMeters         float64 `json:"total_ride_meters"`
-	DetourFactor       float64 `json:"mean_detour_factor"`
-	VehicleMeters      float64 `json:"total_vehicle_meters"`
-	OccupancyMax       int     `json:"occupancy_max"`
-	OccupancyMean      float64 `json:"occupancy_mean"`
-	OccupancyTop       float64 `json:"occupancy_top20_mean"`
-	TreeNodesMax       int     `json:"tree_nodes_max"`
+	ACRTNanos        int64       `json:"acrt_ns"`
+	ART              []ARTBucket `json:"art"`
+	DetourFactor     float64     `json:"mean_detour_factor"`
+	OccupancyMax     int         `json:"occupancy_max"`
+	OccupancyMean    float64     `json:"occupancy_mean"`
+	OccupancyTop     float64     `json:"occupancy_top20_mean"`
+	DistCacheHitRate float64     `json:"dist_cache_hit_rate"`
 
-	DistCacheHits    uint64  `json:"dist_cache_hits"`
-	DistCacheMisses  uint64  `json:"dist_cache_misses"`
-	DistCacheHitRate float64 `json:"dist_cache_hit_rate"`
-	PathCacheHits    uint64  `json:"path_cache_hits"`   // always 0: there is no path cache
-	PathCacheMisses  uint64  `json:"path_cache_misses"` // path searches run
-
-	Admitted           int   `json:"admitted"`
-	ShedOverflow       int   `json:"shed_overflow"`
-	ShedDeadline       int   `json:"shed_deadline"`
-	ShedAdaptive       int   `json:"shed_adaptive"`
-	IngressQueuePeak   int   `json:"ingress_queue_peak"`
-	AdmissionPeakPM    int   `json:"admission_peak_shed_pm"`
-	AdmissionSwitches  int   `json:"admission_transitions"`
 	IngressWaitMeanNs  int64 `json:"ingress_wait_mean_ns"`
 	IngressWaitP99Ns   int64 `json:"ingress_wait_p99_ns"`
 	IngressWaitSamples int   `json:"ingress_wait_samples"`
 
-	SLOGood           int     `json:"slo_good"`
-	SLOBad            int     `json:"slo_bad"`
+	// The gateway's error-budget account, read from its SLOTracker (all
+	// zero when no tracker ran).
+	SLOGood           int64   `json:"slo_good"`
+	SLOBad            int64   `json:"slo_bad"`
 	SLOObjective      float64 `json:"slo_objective"`
 	SLOBudgetConsumed float64 `json:"slo_budget_consumed"`
-
-	AutoTuned     bool    `json:"auto_tuned"`
-	TunedShards   int     `json:"tuned_shards"`
-	TunedCellSize float64 `json:"tuned_cell_size_m"`
 
 	// Stage-latency digests (count/mean/p50/p90/p99/max) from the
 	// streaming histograms.
@@ -448,58 +395,29 @@ type ARTBucket struct {
 	Samples  int   `json:"samples"`
 }
 
-// Snapshot converts the metrics into their serializable form.
-func (m *Metrics) Snapshot() Snapshot {
+// Snapshot converts the metrics into their serializable form, taking the
+// SLO account from slo (nil when the run had no gateway).
+func (m *Metrics) Snapshot(slo *obs.SLOTracker) Snapshot {
 	max, mean, top := m.OccupancyStats()
+	budget := slo.Snapshot()
 	s := Snapshot{
-		Requests:      m.Requests,
-		Matched:       m.Matched,
-		Rejected:      m.Rejected,
-		Completed:     m.Completed,
-		Violations:    m.Violations,
-		ACRTNanos:     m.ACRT().Nanoseconds(),
-		ACRTSamples:   m.ACRTSamples,
-		TrialCalls:    m.TrialCalls,
-		TrialFailures: m.TrialFailures,
-		OverBudget:    m.OverBudget,
-
-		ConflictsRepaired:  m.ConflictsRepaired,
-		RetrialTrialsSaved: m.RetrialTrialsSaved,
-
-		WaitMeters:    m.TotalWaitMeters,
-		RideMeters:    m.TotalRideMeters,
-		DetourFactor:  m.MeanDetourFactor(),
-		VehicleMeters: m.TotalVehicleMeters,
-		OccupancyMax:  max,
-		OccupancyMean: mean,
-		OccupancyTop:  top,
-		TreeNodesMax:  m.TreeNodesMax,
-
-		DistCacheHits:    m.DistCacheHits,
-		DistCacheMisses:  m.DistCacheMisses,
+		Counters:         m.Counters,
+		Peaks:            m.Peaks,
+		ACRTNanos:        m.ACRT().Nanoseconds(),
+		DetourFactor:     m.MeanDetourFactor(),
+		OccupancyMax:     max,
+		OccupancyMean:    mean,
+		OccupancyTop:     top,
 		DistCacheHitRate: m.DistCacheHitRate(),
-		PathCacheHits:    m.PathCacheHits,
-		PathCacheMisses:  m.PathCacheMisses,
 
-		Admitted:           m.Admitted,
-		ShedOverflow:       m.ShedOverflow,
-		ShedDeadline:       m.ShedDeadline,
-		ShedAdaptive:       m.ShedAdaptive,
-		IngressQueuePeak:   m.IngressQueuePeak,
-		AdmissionPeakPM:    m.AdmissionShedPeakPM,
-		AdmissionSwitches:  m.AdmissionTransitions,
 		IngressWaitMeanNs:  m.IngressWaitMean().Nanoseconds(),
 		IngressWaitP99Ns:   m.IngressWaitP99().Nanoseconds(),
 		IngressWaitSamples: int(m.IngressWait.Count()),
 
-		SLOGood:           m.SLOGood,
-		SLOBad:            m.SLOBad,
-		SLOObjective:      m.SLOObjective,
-		SLOBudgetConsumed: m.SLOBudgetConsumed(),
-
-		AutoTuned:     m.AutoTuned,
-		TunedShards:   m.TunedShards,
-		TunedCellSize: m.TunedCellSize,
+		SLOGood:           budget.Good,
+		SLOBad:            budget.Bad,
+		SLOObjective:      budget.Objective,
+		SLOBudgetConsumed: budget.BudgetConsumed,
 
 		MatchLatencyNs:  m.MatchLatency.Summary(),
 		FlushLatencyNs:  m.FlushLatency.Summary(),

@@ -62,7 +62,7 @@ func TestMergeRoundTrip(t *testing.T) {
 		for _, p := range parts {
 			merged.Merge(p)
 		}
-		if got, want := merged.Snapshot(), whole.Snapshot(); !reflect.DeepEqual(got, want) {
+		if got, want := merged.Snapshot(nil), whole.Snapshot(nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: snapshot of merged parts != snapshot of whole\n got: %+v\nwant: %+v",
 				seed, got, want)
 		}
@@ -72,7 +72,7 @@ func TestMergeRoundTrip(t *testing.T) {
 		for i := len(parts) - 1; i >= 0; i-- {
 			rev.Merge(parts[i])
 		}
-		if !reflect.DeepEqual(rev.Snapshot(), whole.Snapshot()) {
+		if !reflect.DeepEqual(rev.Snapshot(nil), whole.Snapshot(nil)) {
 			t.Fatalf("seed %d: merge is not commutative", seed)
 		}
 
@@ -87,13 +87,13 @@ func TestMergeRoundTrip(t *testing.T) {
 		aBC := NewMetrics()
 		aBC.Merge(parts[0])
 		aBC.Merge(bc)
-		if !reflect.DeepEqual(ab.Snapshot(), aBC.Snapshot()) {
+		if !reflect.DeepEqual(ab.Snapshot(nil), aBC.Snapshot(nil)) {
 			t.Fatalf("seed %d: merge is not associative", seed)
 		}
 
 		// Identity: merging an empty metrics changes nothing.
 		merged.Merge(NewMetrics())
-		if !reflect.DeepEqual(merged.Snapshot(), whole.Snapshot()) {
+		if !reflect.DeepEqual(merged.Snapshot(nil), whole.Snapshot(nil)) {
 			t.Fatalf("seed %d: empty merge is not the identity", seed)
 		}
 	}

@@ -164,7 +164,7 @@ func (w *Worker) accountStop(v *Vehicle, kind core.StopKind, tr core.TripState, 
 		}
 	case core.Dropoff:
 		w.metrics.Completed++
-		w.live.AddCompleted(1)
+		w.live.Add(obs.Completed, 1)
 		w.ring.Emit(obs.KindCompleted, tr.ID, v.clock, int64(v.id))
 		if pOdo, ok := v.pickupOdo[tr.ID]; ok {
 			ride := at - pOdo

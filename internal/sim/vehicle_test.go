@@ -158,7 +158,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	m.AddART(3, 500)
 	m.AddOccupancy(2)
 	m.AddOccupancy(4)
-	s := m.Snapshot()
+	s := m.Snapshot(nil)
 	if s.Requests != 10 || s.Matched != 8 || s.Rejected != 2 {
 		t.Fatalf("counts: %+v", s)
 	}

@@ -200,7 +200,7 @@ func (w *Worker) Commit(v *Vehicle, tr Trial) {
 		w.metrics.TreeNodesMax = n
 	}
 	w.metrics.Matched++
-	w.live.AddMatched(1)
+	w.live.Add(obs.Matched, 1)
 }
 
 // CheckVehicle verifies the per-vehicle invariants: a consistent kinetic
