@@ -77,26 +77,45 @@ func NewSharedDefault(newEngine func() sp.Oracle, n int) *Shared {
 	return NewShared(newEngine, n, defaultDistEntries, 0, 0)
 }
 
+// key returns the table key of the unordered pair {u, v}, and the pair in
+// canonical (min, max) order.
+func (s *Shared) key(u, v roadnet.VertexID) (k uint64, lo, hi roadnet.VertexID) {
+	lo, hi = u, v
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	return uint64(lo)*s.n + uint64(hi), lo, hi
+}
+
 // sharedDist is the one distance lookup path: consult the shared table
 // under the pair's canonical (min, max) key, and on a miss compute on the
-// supplied engine, in the direction asked, and publish the result. The
-// second return reports whether the lookup was served from the table
-// (u == v counts as a hit; it never reaches the table).
+// supplied engine and publish the result. A miss is computed in the
+// canonical direction too, whichever was asked: engines may sum a path's
+// edges differently forwards and backwards, and the stored bits must not
+// depend on which worker asked first. The second return reports whether
+// the lookup was served from the table (u == v counts as a hit; it never
+// reaches the table).
 func (s *Shared) sharedDist(engine sp.Oracle, u, v roadnet.VertexID) (float64, bool) {
 	if u == v {
 		return 0, true
 	}
-	lo, hi := u, v
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	k := uint64(lo)*s.n + uint64(hi)
-	if d, ok := s.dists.get(k); ok {
+	k, lo, hi := s.key(u, v)
+	if d, ok := s.dists.get(k, true); ok {
 		return d, true
 	}
-	d := engine.Dist(u, v)
+	d := engine.Dist(lo, hi)
 	s.dists.put(k, d)
 	return d, false
+}
+
+// probe is sharedDist without the search: the held distance, or ok=false
+// with nothing counted.
+func (s *Shared) probe(u, v roadnet.VertexID) (float64, bool) {
+	if u == v {
+		return 0, true
+	}
+	k, _, _ := s.key(u, v)
+	return s.dists.get(k, false)
 }
 
 // Dist returns the shortest-path cost from u to v, consulting the shared
@@ -200,6 +219,20 @@ func (w *SharedWorker) Dist(u, v roadnet.VertexID) float64 {
 	d, hit := w.shared.sharedDist(w.engine, u, v)
 	w.sampler.record(start, hit)
 	return d
+}
+
+// Probe returns the distance from u to v if the shared table holds it,
+// without searching. A held pair counts as a hit and is latency-sampled
+// exactly like Dist. A pair not held counts as nothing, because the caller
+// may settle it without the distance (the kinetic tree's landmark bound);
+// if it does need it, its Dist call is the miss.
+func (w *SharedWorker) Probe(u, v roadnet.VertexID) (float64, bool) {
+	start := w.sampler.start()
+	d, ok := w.shared.probe(u, v)
+	if ok {
+		w.sampler.record(start, true)
+	}
+	return d, ok
 }
 
 // Path returns a shortest path from u to v, searched on this worker's

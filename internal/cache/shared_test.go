@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -334,5 +335,105 @@ func TestSharedPathUnreachable(t *testing.T) {
 	}
 	if d := o.Dist(1, 0); d != 1000 {
 		t.Fatalf("Dist(1,0) = %v, want 1000", d)
+	}
+}
+
+// TestSharedAnswerIgnoresAskingOrder: two stacks over plain Dijkstra, one
+// asked every pair as (u, v) and the other as (v, u), hold the same bits.
+// Dijkstra summed forwards and backwards differs in the last bit on about
+// half the pairs of a city, so a table that computed a miss in the
+// direction asked would store whichever sum the first asker got.
+func TestSharedAnswerIgnoresAskingOrder(t *testing.T) {
+	g, err := roadnet.SyntheticCity(roadnet.CityOptions{Scale: 0.004, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newEngine := func() sp.Oracle { return sp.NewDijkstra(g) }
+	fwd := NewSharedDefault(newEngine, g.N()).NewWorker()
+	bwd := NewSharedDefault(newEngine, g.N()).NewWorker()
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 2000; i++ {
+		u := roadnet.VertexID(rng.Intn(g.N()))
+		v := roadnet.VertexID(rng.Intn(g.N()))
+		if a, b := fwd.Dist(u, v), bwd.Dist(v, u); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("pair {%d,%d}: asked (u,v) the table holds %v, asked (v,u) %v", u, v, a, b)
+		}
+	}
+}
+
+// TestSharedProbe: a probe serves what the table holds and counts it as a
+// hit, and leaves no trace for what it does not hold — not a miss, not an
+// entry, not a search.
+func TestSharedProbe(t *testing.T) {
+	g := testGraph(t)
+	inner := &countingEngines{newInner: func() sp.Oracle { return sp.NewBidirectional(g) }}
+	s := NewSharedDefault(inner.new, g.N())
+	w := s.NewWorker()
+
+	if _, ok := w.Probe(3, 41); ok {
+		t.Fatal("a fresh table served a probe")
+	}
+	if hits, misses := s.DistStats(); hits != 0 || misses != 0 || s.dists.size() != 0 || inner.dists() != 0 {
+		t.Fatalf("a failed probe left (%d hits, %d misses, %d entries, %d searches), want nothing", hits, misses, s.dists.size(), inner.dists())
+	}
+	want := w.Dist(3, 41)
+	for _, pair := range [][2]roadnet.VertexID{{3, 41}, {41, 3}} {
+		if d, ok := w.Probe(pair[0], pair[1]); !ok || d != want {
+			t.Fatalf("Probe(%d,%d) = %v, %v; Dist said %v", pair[0], pair[1], d, ok, want)
+		}
+	}
+	if d, ok := w.Probe(7, 7); !ok || d != 0 {
+		t.Fatalf("Probe(v,v) = %v, %v", d, ok)
+	}
+	if hits, misses := s.DistStats(); hits != 2 || misses != 1 || inner.dists() != 1 {
+		t.Fatalf("DistStats = (%d hits, %d misses) after %d searches, want (2, 1) after 1", hits, misses, inner.dists())
+	}
+}
+
+// TestLowerBoundsSharedStack: the landmark bound stays at or below what the
+// production stack (the shared table over bidirectional Dijkstra) answers,
+// asked in either order: all pairs of a small city and 50,000 pairs of the
+// suite's, mostly local (a random walk of up to 40 hops, the distances a
+// kinetic-tree insertion asks for).
+func TestLowerBoundsSharedStack(t *testing.T) {
+	for _, c := range []struct {
+		scale float64
+		seed  int64
+		pairs int // 0 = all
+	}{{0.002, 5, 0}, {0.03, 17, 50000}} {
+		g, err := roadnet.SyntheticCity(roadnet.CityOptions{Scale: c.scale, Seed: c.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lower := sp.NewALT(g, 8)
+		s := NewSharedDefault(func() sp.Oracle { return sp.NewBidirectional(g) }, g.N())
+		w := s.NewWorker()
+		check := func(u, v roadnet.VertexID) {
+			if lb, d := lower.Lower(u, v), w.Dist(u, v); !(lb <= d) {
+				t.Fatalf("scale %g: Lower(%d,%d) = %v, the stack answers %v", c.scale, u, v, lb, d)
+			}
+		}
+		if c.pairs == 0 {
+			for u := 0; u < g.N(); u++ {
+				for v := 0; v < g.N(); v++ {
+					check(roadnet.VertexID(u), roadnet.VertexID(v))
+				}
+			}
+			continue
+		}
+		rng := rand.New(rand.NewSource(43))
+		for i := 0; i < c.pairs; i++ {
+			u := roadnet.VertexID(rng.Intn(g.N()))
+			v := roadnet.VertexID(rng.Intn(g.N()))
+			if i%10 != 0 {
+				v = u
+				for hops := 1 + rng.Intn(40); hops > 0; hops-- {
+					if next, _ := g.Neighbors(v); len(next) > 0 {
+						v = next[rng.Intn(len(next))]
+					}
+				}
+			}
+			check(u, v)
+		}
 	}
 }

@@ -94,14 +94,18 @@ func mix(x uint64) uint64 {
 }
 
 // get returns the distance stored under key and marks it most recently
-// used within its stripe.
-func (t *table) get(key uint64) (float64, bool) {
+// used within its stripe. countMiss=false makes a failed lookup leave no
+// trace (a probe the caller may settle without ever computing the value);
+// a found key always counts as a hit.
+func (t *table) get(key uint64, countMiss bool) (float64, bool) {
 	s := &t.stripes[mix(key)&t.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	slot, ok := s.index[key]
 	if !ok {
-		s.misses++
+		if countMiss {
+			s.misses++
+		}
 		return 0, false
 	}
 	s.hits++

@@ -76,22 +76,22 @@ func (t *table) bound() int { return len(t.stripes) * t.stripes[0].capacity }
 
 func TestLRUBasic(t *testing.T) {
 	c := newTable(2, 1)
-	if _, ok := c.get(1); ok {
+	if _, ok := c.get(1, true); ok {
 		t.Fatal("hit on empty table")
 	}
 	c.put(1, 100)
 	c.put(2, 200)
-	if v, ok := c.get(1); !ok || v != 100 {
+	if v, ok := c.get(1, true); !ok || v != 100 {
 		t.Fatalf("get(1)=%v,%v", v, ok)
 	}
 	c.put(3, 300) // evicts 2 (1 was just used)
-	if _, ok := c.get(2); ok {
+	if _, ok := c.get(2, true); ok {
 		t.Fatal("2 should have been evicted")
 	}
-	if v, ok := c.get(1); !ok || v != 100 {
+	if v, ok := c.get(1, true); !ok || v != 100 {
 		t.Fatalf("1 evicted wrongly: %v,%v", v, ok)
 	}
-	if v, ok := c.get(3); !ok || v != 300 {
+	if v, ok := c.get(3, true); !ok || v != 300 {
 		t.Fatalf("3 missing: %v,%v", v, ok)
 	}
 }
@@ -103,7 +103,7 @@ func TestLRUUpdateExisting(t *testing.T) {
 	if c.size() != 1 {
 		t.Fatalf("size=%d", c.size())
 	}
-	if v, _ := c.get(1); v != 2.5 {
+	if v, _ := c.get(1, true); v != 2.5 {
 		t.Fatalf("value %v", v)
 	}
 }
@@ -118,7 +118,7 @@ func TestLRUCapacityClamp(t *testing.T) {
 	if c.size() != 1 {
 		t.Fatalf("size=%d", c.size())
 	}
-	if _, ok := c.get(2); !ok {
+	if _, ok := c.get(2, true); !ok {
 		t.Fatal("the newer entry must be the one kept")
 	}
 }
@@ -126,9 +126,9 @@ func TestLRUCapacityClamp(t *testing.T) {
 func TestLRUStats(t *testing.T) {
 	c := newTable(4, 1)
 	c.put(1, 1)
-	c.get(1)
-	c.get(2)
-	c.get(3)
+	c.get(1, true)
+	c.get(2, true)
+	c.get(3, true)
 	if h, m := c.stats(); h != 1 || m != 2 {
 		t.Fatalf("stats %d/%d, want 1/2", h, m)
 	}
@@ -142,7 +142,7 @@ func TestLRUNeverExceedsCapacity(t *testing.T) {
 		c := newTable(capacity, 1)
 		for _, k := range keys {
 			if k%3 == 0 {
-				c.get(uint64(k))
+				c.get(uint64(k), true)
 			} else {
 				c.put(uint64(k), float64(k))
 			}
@@ -199,7 +199,7 @@ func TestLRUMatchesReference(t *testing.T) {
 			c.put(k, v)
 			refPut(k, v)
 		} else {
-			got, gok := c.get(k)
+			got, gok := c.get(k, true)
 			want, wok := refGet(k)
 			if gok != wok || (gok && got != want) {
 				t.Fatalf("step %d: get(%d) = %v,%v want %v,%v", i, k, got, gok, want, wok)
@@ -216,16 +216,16 @@ func TestStripedLRUBasic(t *testing.T) {
 	if c.bound() != 64 {
 		t.Fatalf("bound=%d, want 64", c.bound())
 	}
-	if _, ok := c.get(1); ok {
+	if _, ok := c.get(1, true); ok {
 		t.Fatal("empty table returned a value")
 	}
 	c.put(1, 100)
 	c.put(2, 200)
-	if v, ok := c.get(1); !ok || v != 100 {
+	if v, ok := c.get(1, true); !ok || v != 100 {
 		t.Fatalf("get(1) = (%v, %v), want (100, true)", v, ok)
 	}
 	c.put(1, 101) // update
-	if v, _ := c.get(1); v != 101 {
+	if v, _ := c.get(1, true); v != 101 {
 		t.Fatalf("updated value = %v, want 101", v)
 	}
 	if c.size() != 2 {
@@ -307,7 +307,7 @@ func TestStripedLRUConcurrent(t *testing.T) {
 					c.put(k, float64(k*2))
 					continue
 				}
-				if v, ok := c.get(k); ok && v != float64(k*2) {
+				if v, ok := c.get(k, true); ok && v != float64(k*2) {
 					t.Errorf("get(%d) returned %v, want %d", k, v, k*2)
 				}
 				gets.Add(1)
@@ -336,7 +336,7 @@ func BenchmarkLRUPutGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := uint64(rng.Intn(1 << 18))
-		if _, ok := c.get(k); !ok {
+		if _, ok := c.get(k, true); !ok {
 			c.put(k, float64(k))
 		}
 	}

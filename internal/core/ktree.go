@@ -37,6 +37,18 @@ type TreeOptions struct {
 	// of a subtree walk; the dead branches are carried until the next
 	// TrialInsert, which revalidates before inserting.
 	LazyInvalidation bool
+	// Lower, when set, is a landmark index whose lower bounds let a trial
+	// insertion skip any distance search whose answer it could only
+	// reject: a placement whose arrival at the bound already misses its
+	// deadline, a copied subtree whose detour at the bound already exceeds
+	// its slack, a hotspot merge whose bound is already past θ. Float
+	// addition and the feasibility tests are monotone, so a rejection at
+	// the bound is a rejection at the exact distance, and every result —
+	// candidate, cost, schedule, node count — is the one the tree computes
+	// without it. A pair the oracle's table already holds (a prober under
+	// any sp.Unwrap layers) is read from the table, not bounded. Movement
+	// never consults it.
+	Lower *sp.ALT
 }
 
 // treeNode is one scheduled visit in the kinetic tree. With hotspot
@@ -78,6 +90,7 @@ func (n *treeNode) size() int {
 // Not safe for concurrent use.
 type Tree struct {
 	oracle sp.Oracle
+	held   prober // the table under oracle, if any (only read with opts.Lower)
 	opts   TreeOptions
 
 	loc      roadnet.VertexID
@@ -132,7 +145,31 @@ func (t *Tree) unvisitStop(s Stop) {
 // NewTree returns an empty kinetic tree for a server at the given location
 // with the given odometer reading.
 func NewTree(oracle sp.Oracle, loc roadnet.VertexID, odo float64, opts TreeOptions) *Tree {
-	return &Tree{oracle: oracle, opts: opts, loc: loc, odo: odo}
+	held, _ := sp.Unwrap(oracle).(prober)
+	return &Tree{oracle: oracle, held: held, opts: opts, loc: loc, odo: odo}
+}
+
+// prober is an oracle's distance table (cache.SharedWorker): Probe returns
+// the held distance from u to v, or ok=false when Dist would search.
+type prober interface {
+	Probe(u, v roadnet.VertexID) (d float64, ok bool)
+}
+
+// peek returns the distance from u to v when it is known without a search
+// (exact=true), and otherwise a lower bound on it (exact=false), which the
+// caller tests against its own rejection rule before paying for Dist. The
+// order is the table first, then the bound: a pair the table holds is
+// served (and counted) as a hit. Without opts.Lower it is plain Dist.
+func (t *Tree) peek(u, v roadnet.VertexID) (d float64, exact bool) {
+	if t.opts.Lower == nil {
+		return t.oracle.Dist(u, v), true
+	}
+	if t.held != nil {
+		if d, ok := t.held.Probe(u, v); ok {
+			return d, true
+		}
+	}
+	return t.opts.Lower.Lower(u, v), false
 }
 
 // Loc returns the server's current location vertex.
@@ -445,7 +482,13 @@ func (ins *inserter) insertList(children []*treeNode, from roadnet.VertexID, at 
 // (paper's copyNodes), into which the remaining points P[1:] are inserted.
 func (ins *inserter) newNodeHere(children []*treeNode, from roadnet.VertexID, at float64, P []Stop) *treeNode {
 	t := ins.t
-	leg := t.oracle.Dist(from, P[0].Vertex)
+	leg, exact := t.peek(from, P[0].Vertex)
+	if !exact {
+		if !t.feasibleStop(P[0], at+leg) {
+			return nil // Lemma 2 at the bound: the exact leg arrives no earlier
+		}
+		leg = t.oracle.Dist(from, P[0].Vertex)
+	}
 	if leg == sp.Inf {
 		return nil
 	}
@@ -476,13 +519,9 @@ func (ins *inserter) newNodeHere(children []*treeNode, from roadnet.VertexID, at
 	if len(children) > 0 {
 		shifted := make([]*treeNode, 0, len(children))
 		for _, c := range children {
-			newLeg := t.oracle.Dist(P[0].Vertex, c.stops[0].Vertex)
-			if newLeg == sp.Inf {
+			newLeg, detour, ok := t.shiftedLeg(P[0].Vertex, c, leg)
+			if !ok {
 				continue
-			}
-			detour := leg + newLeg - c.leg
-			if t.opts.Slack && detour > c.dmax+slackEps {
-				continue // Theorem 1: no branch below tolerates it
 			}
 			if cc := ins.copyShifted(c, newLeg, arrive, detour); cc != nil {
 				shifted = append(shifted, cc)
@@ -514,6 +553,32 @@ func (ins *inserter) newNodeHere(children []*treeNode, from roadnet.VertexID, at
 		n.dmin = math.Min(n.dmin, childMin)
 	}
 	return n
+}
+
+// shiftedLeg returns the leg from v to child c's first stop and the detour
+// it imposes on c's subtree when c is re-hung below a new stop at v that
+// already added `base` to the route. ok=false drops the child: its first
+// stop is unreachable, or (slack variant) the detour exceeds what any
+// branch below tolerates (Theorem 1) — decided at the landmark bound when
+// that already exceeds it.
+func (t *Tree) shiftedLeg(v roadnet.VertexID, c *treeNode, base float64) (newLeg, detour float64, ok bool) {
+	w := c.stops[0].Vertex
+	if !t.opts.Slack {
+		newLeg = t.oracle.Dist(v, w)
+		return newLeg, base + newLeg - c.leg, newLeg != sp.Inf
+	}
+	newLeg, exact := t.peek(v, w)
+	if !exact {
+		if base+newLeg-c.leg > c.dmax+slackEps {
+			return 0, 0, false
+		}
+		newLeg = t.oracle.Dist(v, w)
+	}
+	if newLeg == sp.Inf {
+		return 0, 0, false
+	}
+	detour = base + newLeg - c.leg
+	return newLeg, detour, !(detour > c.dmax+slackEps)
 }
 
 // copyShifted deep-copies subtree c under a parent whose last stop is at
@@ -607,7 +672,11 @@ func (ins *inserter) plainCopy(c *treeNode, newLeg, detour float64) *treeNode {
 // θ to all the points of the hot spot").
 func (t *Tree) withinTheta(c *treeNode, v roadnet.VertexID) bool {
 	for _, s := range c.stops {
-		if t.oracle.Dist(s.Vertex, v) > t.opts.HotspotTheta {
+		d, exact := t.peek(s.Vertex, v)
+		if !exact && d <= t.opts.HotspotTheta {
+			d = t.oracle.Dist(s.Vertex, v)
+		}
+		if d > t.opts.HotspotTheta {
 			return false
 		}
 	}
@@ -660,12 +729,8 @@ func (ins *inserter) mergeInto(c *treeNode, from roadnet.VertexID, at float64, P
 	// delayed by the detour through the merged stop.
 	if len(c.children) > 0 {
 		for _, gc := range c.children {
-			newLeg := t.oracle.Dist(P[0].Vertex, gc.stops[0].Vertex)
-			if newLeg == sp.Inf {
-				continue
-			}
-			detour := add + newLeg - gc.leg
-			if t.opts.Slack && detour > gc.dmax+slackEps {
+			newLeg, detour, ok := t.shiftedLeg(P[0].Vertex, gc, add)
+			if !ok {
 				continue
 			}
 			if cc := ins.copyShifted(gc, newLeg, arrive, detour); cc != nil {

@@ -29,6 +29,7 @@ type Worker struct {
 	metrics *Metrics
 	ring    *obs.Ring // lifecycle events (nil = tracing off)
 	live    *obs.Live // live counters (nil = off)
+	lower   *sp.ALT   // landmark bounds for the trees (nil = none)
 }
 
 // NewWorker builds a worker over the graph in cfg using the given oracle
@@ -46,6 +47,13 @@ func (w *Worker) SetTrace(ring *obs.Ring, live *obs.Live) {
 	w.ring = ring
 	w.live = live
 }
+
+// SetLowerBound hands the worker's future vehicles a landmark index whose
+// lower bounds let their trees skip distance searches that could only be
+// rejected (core.TreeOptions.Lower); it never changes a decision. The
+// index is read-only, so every shard may share one. The engine calls this
+// once at construction, before any vehicle is created.
+func (w *Worker) SetLowerBound(lower *sp.ALT) { w.lower = lower }
 
 // Metrics returns the worker's metrics sink.
 func (w *Worker) Metrics() *Metrics { return w.metrics }
@@ -115,6 +123,7 @@ func (w *Worker) NewVehicle(id int, loc roadnet.VertexID) *Vehicle {
 		Capacity:         w.cfg.Capacity,
 		MaxTreeNodes:     w.cfg.MaxTreeNodes,
 		LazyInvalidation: w.cfg.LazyInvalidation,
+		Lower:            w.lower,
 	}
 	if w.cfg.Algorithm == AlgoTreeHotspot {
 		opts.HotspotTheta = w.cfg.HotspotTheta

@@ -346,3 +346,76 @@ func BenchmarkAStarDist(b *testing.B)         { benchDist(b, "astar") }
 func BenchmarkALTDist(b *testing.B)           { benchDist(b, "alt") }
 func BenchmarkArcFlagsDist(b *testing.B)      { benchDist(b, "arcflags") }
 func BenchmarkHubLabelDist(b *testing.B)      { benchDist(b, "hublabels") }
+
+// checkLower fails if the landmark bound exceeds any engine's answer for
+// (u,v), or is NaN.
+func checkLower(t *testing.T, a *ALT, engines map[string]Oracle, u, v roadnet.VertexID) {
+	t.Helper()
+	lb := a.Lower(u, v)
+	if math.IsNaN(lb) || lb < 0 {
+		t.Fatalf("Lower(%d,%d) = %v", u, v, lb)
+	}
+	for name, e := range engines {
+		if d := e.Dist(u, v); lb > d {
+			t.Fatalf("Lower(%d,%d) = %v exceeds %s.Dist = %v", u, v, lb, name, d)
+		}
+	}
+}
+
+// TestLowerBoundsEveryEngine: the landmark bound the kinetic tree prunes
+// with is at most every engine's answer, bit for bit — a bound above one
+// engine's last digit would let the tree reject a pair that engine accepts.
+// All pairs of a small city; 50,000 pairs of the suite's city, most of them
+// local (a random walk of up to 40 hops: the distances an insertion asks
+// for) and 5,000 uniform; and a two-component graph, where the bound must
+// stay a number.
+func TestLowerBoundsEveryEngine(t *testing.T) {
+	small, err := roadnet.SyntheticCity(roadnet.CityOptions{Scale: 0.002, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, engines := NewALT(small, 8), searchEngines(small)
+	for u := 0; u < small.N(); u++ {
+		for v := 0; v < small.N(); v++ {
+			checkLower(t, a, engines, roadnet.VertexID(u), roadnet.VertexID(v))
+		}
+	}
+
+	city := suiteCity(t)
+	a, engines = NewALT(city, 8), searchEngines(city)
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 50000; i++ {
+		u := roadnet.VertexID(rng.Intn(city.N()))
+		v := roadnet.VertexID(rng.Intn(city.N()))
+		if i >= 5000 {
+			v = u
+			for hops := 1 + rng.Intn(40); hops > 0; hops-- {
+				if next, _ := city.Neighbors(v); len(next) > 0 {
+					v = next[rng.Intn(len(next))]
+				}
+			}
+		}
+		checkLower(t, a, engines, u, v)
+	}
+
+	b := roadnet.NewBuilder(5)
+	for i := 0; i < 5; i++ {
+		b.SetCoord(roadnet.VertexID(i), float64(i), 0)
+	}
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(1, 2, 2)
+	b.AddEdge(3, 4, 1)
+	split, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, engines = NewALT(split, 8), searchEngines(split)
+	for u := 0; u < split.N(); u++ {
+		for v := 0; v < split.N(); v++ {
+			checkLower(t, a, engines, roadnet.VertexID(u), roadnet.VertexID(v))
+		}
+	}
+	if lb := a.Lower(0, 2); lb <= 3*(1-1e-8) || lb > 3 {
+		t.Fatalf("Lower(0,2) = %v on a path graph, want 3 less the rounding margin", lb)
+	}
+}
