@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,19 +22,15 @@ import (
 )
 
 // goldenArgs is the run testdata/golden.json holds: the -json snapshot of
-// exactly these flags. Its seedExact fields are still the values captured
-// at the last commit that had the separate sequential simulator (0746eb7,
-// where these flags selected it), so it pins, from outside the engine,
-// that folding that path into dispatch.Engine left ridesim's default
-// output alone. The file was written again when the path cache was
-// deleted; only path_cache_* and wall-clock fields moved.
+// exactly these flags.
 var goldenArgs = []string{"-scale", "0.002", "-servers", "40", "-seed", "7", "-json"}
 
 // seedExact are the snapshot fields a seed fixes exactly: every integer
-// counter plus the occupancy statistics (small-integer arithmetic over
-// per-vehicle peaks). Wall-clock fields, float totals (summation order
-// varies with shard count) and cache counters (two workers can both miss
-// a pair one of them is about to publish) are deliberately left out.
+// counter, the occupancy statistics (small-integer arithmetic over
+// per-vehicle peaks) and the distance totals, which sum values on the
+// road network's 1/256 m grid and so are exact in any order and at any
+// shard count. Wall-clock fields and cache counters (two workers can both
+// miss a pair one of them is about to publish) are deliberately left out.
 type seedExact struct {
 	Requests      int     `json:"requests"`
 	Matched       int     `json:"matched"`
@@ -46,6 +43,9 @@ type seedExact struct {
 	OccupancyMax  int     `json:"occupancy_max"`
 	OccupancyMean float64 `json:"occupancy_mean"`
 	OccupancyTop  float64 `json:"occupancy_top20_mean"`
+	WaitMeters    float64 `json:"total_wait_meters"`
+	RideMeters    float64 `json:"total_ride_meters"`
+	VehicleMeters float64 `json:"total_vehicle_meters"`
 }
 
 // ridesim parses args the way main does and runs them, returning stdout.
@@ -124,15 +124,23 @@ func seedExactOf(t *testing.T, args ...string) seedExact {
 	return got
 }
 
+// TestGoldenJSON: the golden run at any worker or shard count, through the
+// gateway, under the no-op fault plan and over every oracle stack makes the
+// same decisions and drives the same metres: exact distances do not depend
+// on who computed them.
 func TestGoldenJSON(t *testing.T) {
 	want := golden(t)
-	for _, extra := range [][]string{
+	extras := [][]string{
 		nil, // default flags
 		{"-workers", "4"},
 		{"-shards", "3"},
 		{"-batch", "0", "-producers", "4", "-shed-policy", "block"},
 		{"-fault-plan", "none"},
-	} {
+	}
+	for _, name := range pipeline.OracleNames() {
+		extras = append(extras, []string{"-oracle", name})
+	}
+	for _, extra := range extras {
 		t.Run(strings.Join(extra, " "), func(t *testing.T) {
 			got := seedExactOf(t, append(append([]string{}, goldenArgs...), extra...)...)
 			if got != want {
@@ -143,12 +151,33 @@ func TestGoldenJSON(t *testing.T) {
 }
 
 // TestFileReplayMatchesGolden: the golden run's world written to files —
-// the graph in RNG1 format, its requests as CSV with millisecond times —
-// and replayed through -graph/-trips gives the golden's seed-exact
-// metrics, so the file path and the -scale path are one run.
+// the graph in RNG1 format, its requests as CSV — and replayed through
+// -graph/-trips gives the golden's seed-exact metrics, so the file path and
+// the -scale path are one run.
 func TestFileReplayMatchesGolden(t *testing.T) {
-	want := golden(t)
-	world, err := exp.BuildWorld(exp.WorldOptions{Scale: 0.002, Seed: 7})
+	if got, want := fileReplay(t, 7), golden(t); got != want {
+		t.Fatalf("file replay drifted from the golden:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestFileReplayMatchesRun: at seeds other than the golden's too, the file
+// replay is the generated run. Request times written with fewer digits than
+// round-trip would move the stream (at millisecond precision, seeds 1, 2
+// and 4 ended with other tree sizes).
+func TestFileReplayMatchesRun(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		want := seedExactOf(t, "-scale", "0.002", "-servers", "40", "-seed", fmt.Sprint(seed), "-json")
+		if got := fileReplay(t, seed); got != want {
+			t.Fatalf("seed %d: file replay differs from the run:\n got %+v\nwant %+v", seed, got, want)
+		}
+	}
+}
+
+// fileReplay writes the world of the -scale 0.002 run at seed to a graph
+// file and a trips CSV and replays them with -graph/-trips.
+func fileReplay(t *testing.T, seed int64) seedExact {
+	t.Helper()
+	world, err := exp.BuildWorld(exp.WorldOptions{Scale: 0.002, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,10 +203,7 @@ func TestFileReplayMatchesGolden(t *testing.T) {
 	if err := tf.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got := seedExactOf(t, "-graph", graphPath, "-trips", tripsPath, "-servers", "40", "-seed", "7", "-json")
-	if got != want {
-		t.Fatalf("file replay drifted from the golden:\n got %+v\nwant %+v", got, want)
-	}
+	return seedExactOf(t, "-graph", graphPath, "-trips", tripsPath, "-servers", "40", "-seed", fmt.Sprint(seed), "-json")
 }
 
 // TestFailedRunStillReports: a run that ends in an error (an invariant

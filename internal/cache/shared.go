@@ -77,33 +77,29 @@ func NewSharedDefault(newEngine func() sp.Oracle, n int) *Shared {
 	return NewShared(newEngine, n, defaultDistEntries, 0, 0)
 }
 
-// key returns the table key of the unordered pair {u, v}, and the pair in
-// canonical (min, max) order.
-func (s *Shared) key(u, v roadnet.VertexID) (k uint64, lo, hi roadnet.VertexID) {
-	lo, hi = u, v
-	if lo > hi {
-		lo, hi = hi, lo
+// key returns the table key of the unordered pair {u, v}.
+func (s *Shared) key(u, v roadnet.VertexID) uint64 {
+	if u > v {
+		u, v = v, u
 	}
-	return uint64(lo)*s.n + uint64(hi), lo, hi
+	return uint64(u)*s.n + uint64(v)
 }
 
 // sharedDist is the one distance lookup path: consult the shared table
-// under the pair's canonical (min, max) key, and on a miss compute on the
-// supplied engine and publish the result. A miss is computed in the
-// canonical direction too, whichever was asked: engines may sum a path's
-// edges differently forwards and backwards, and the stored bits must not
-// depend on which worker asked first. The second return reports whether
-// the lookup was served from the table (u == v counts as a hit; it never
-// reaches the table).
+// under the pair's unordered key, and on a miss compute on the supplied
+// engine and publish the result. Distances are exact, so the direction a
+// miss is computed in does not change the stored bits. The second return
+// reports whether the lookup was served from the table (u == v counts as a
+// hit; it never reaches the table).
 func (s *Shared) sharedDist(engine sp.Oracle, u, v roadnet.VertexID) (float64, bool) {
 	if u == v {
 		return 0, true
 	}
-	k, lo, hi := s.key(u, v)
+	k := s.key(u, v)
 	if d, ok := s.dists.get(k, true); ok {
 		return d, true
 	}
-	d := engine.Dist(lo, hi)
+	d := engine.Dist(u, v)
 	s.dists.put(k, d)
 	return d, false
 }
@@ -114,8 +110,7 @@ func (s *Shared) probe(u, v roadnet.VertexID) (float64, bool) {
 	if u == v {
 		return 0, true
 	}
-	k, _, _ := s.key(u, v)
-	return s.dists.get(k, false)
+	return s.dists.get(s.key(u, v), false)
 }
 
 // Dist returns the shortest-path cost from u to v, consulting the shared

@@ -388,16 +388,16 @@ func (t *Tree) feasibleStop(s Stop, arrive float64) bool {
 		if t.opts.Capacity > 0 && t.onboard >= t.opts.Capacity {
 			return false
 		}
-		return arrive <= tr.WaitDeadline+slackEps
+		return arrive <= tr.WaitDeadline
 	}
 	if tr.OnBoard {
-		return arrive <= tr.DropDeadline+slackEps
+		return arrive <= tr.DropDeadline
 	}
 	p := t.pickAt[s.Trip]
 	if p < 0 {
 		return false
 	}
-	return arrive-p <= tr.MaxRide+slackEps
+	return arrive-p <= tr.MaxRide
 }
 
 // inserter carries the node budget across one TrialInsert.
@@ -569,7 +569,7 @@ func (t *Tree) shiftedLeg(v roadnet.VertexID, c *treeNode, base float64) (newLeg
 	}
 	newLeg, exact := t.peek(v, w)
 	if !exact {
-		if base+newLeg-c.leg > c.dmax+slackEps {
+		if base+newLeg-c.leg > c.dmax {
 			return 0, 0, false
 		}
 		newLeg = t.oracle.Dist(v, w)
@@ -578,7 +578,7 @@ func (t *Tree) shiftedLeg(v roadnet.VertexID, c *treeNode, base float64) (newLeg
 		return 0, 0, false
 	}
 	detour = base + newLeg - c.leg
-	return newLeg, detour, !(detour > c.dmax+slackEps)
+	return newLeg, detour, !(detour > c.dmax)
 }
 
 // copyShifted deep-copies subtree c under a parent whose last stop is at
@@ -596,7 +596,7 @@ func (ins *inserter) copyShifted(c *treeNode, newLeg, at, detour float64) *treeN
 	// finite capacity this shortcut is unsound — a pickup inserted above
 	// raises the load throughout the copied subtree regardless of detour —
 	// so it applies only to unlimited-capacity vehicles.
-	if t.opts.Slack && t.opts.Capacity == 0 && detour <= c.dmin-slackEps {
+	if t.opts.Slack && t.opts.Capacity == 0 && detour <= c.dmin {
 		return ins.plainCopy(c, newLeg, detour)
 	}
 	arrive := at + newLeg
@@ -625,7 +625,7 @@ func (ins *inserter) copyShifted(c *treeNode, newLeg, at, detour float64) *treeN
 		}
 		if len(c.children) > 0 {
 			for _, gc := range c.children {
-				if t.opts.Slack && detour > gc.dmax+slackEps {
+				if t.opts.Slack && detour > gc.dmax {
 					continue
 				}
 				if cc := ins.copyShifted(gc, gc.leg, arrive, detour); cc != nil {
@@ -941,8 +941,8 @@ func (t *Tree) pruneEager(moved float64) {
 			kept = append(kept, c)
 			continue
 		}
-		detour := newLeg - c.leg // relative to previous position
-		if detour <= slackEps {
+		detour := newLeg + moved - c.leg // how much later every stop below c arrives
+		if detour <= 0 {
 			// Arrivals only got earlier: still valid.
 			c.leg = newLeg
 			kept = append(kept, c)

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/roadnet"
@@ -175,5 +176,95 @@ func TestTreeRejectsImpossibleRequest(t *testing.T) {
 	}
 	if _, ok, _ := tree.TrialInsert(ts); ok {
 		t.Fatal("accepted a request whose pickup is out of waiting range")
+	}
+}
+
+// TestEagerPruneMatchesLazy: an eager tree, which re-validates its branches
+// on every movement through the slack shortcuts, stays a valid tree and
+// picks the schedule a lazy tree picks after re-walking every branch
+// exactly. Movement shifts a root branch by its new leg plus the metres
+// already driven less its old leg; leaving out the driven metres keeps
+// branches whose arrivals slipped past a deadline. Four variants, 60 worlds
+// each, budgets tight enough that movement prunes.
+func TestEagerPruneMatchesLazy(t *testing.T) {
+	for _, variant := range []struct {
+		name string
+		opts TreeOptions
+	}{
+		{"basic", TreeOptions{Capacity: 4}},
+		{"slack", TreeOptions{Slack: true, Capacity: 4}},
+		{"hotspot", TreeOptions{Slack: true, HotspotTheta: 800, Capacity: 4}},
+		{"unlimited", TreeOptions{Slack: true}},
+	} {
+		t.Run(variant.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 60; seed++ {
+				eagerMatchesLazy(t, seed, variant.opts)
+			}
+		})
+	}
+}
+
+// eagerMatchesLazy runs one world's 600 random operations on an eager and a
+// lazy tree in lockstep.
+func eagerMatchesLazy(t *testing.T, seed int64, opts TreeOptions) {
+	t.Helper()
+	w := newTestWorld(t, seed)
+	rng := rand.New(rand.NewSource(seed))
+	n := int32(w.g.N())
+	wait, eps := 1500+2500*rng.Float64(), 0.1+0.4*rng.Float64()
+	start := roadnet.VertexID(rng.Int31n(n))
+	lazyOpts := opts
+	lazyOpts.LazyInvalidation = true
+	eager, lazy := NewTree(w.oracle, start, 0, opts), NewTree(w.oracle, start, 0, lazyOpts)
+	for step := 0; step < 600; step++ {
+		switch op := rng.Intn(10); {
+		case op < 4: // new request
+			s, e := roadnet.VertexID(rng.Int31n(n)), roadnet.VertexID(rng.Int31n(n))
+			if s == e {
+				continue
+			}
+			ts, err := NewTripState(int64(step), s, e, wait, eps, eager.Odo(), w.oracle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ce, okE, errE := eager.TrialInsert(ts)
+			cl, okL, errL := lazy.TrialInsert(ts)
+			if errE != nil || errL != nil || okE != okL || (okE && ce.Cost != cl.Cost) {
+				t.Fatalf("seed %d step %d: eager trial (%v, %v), lazy (%v, %v)", seed, step, okE, errE, okL, errL)
+			}
+			if okE {
+				eager.Commit(ce)
+				lazy.Commit(cl)
+			}
+		case op < 6: // advance to the next stop
+			if eager.Empty() {
+				continue
+			}
+			if _, err := eager.Advance(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := lazy.Advance(); err != nil {
+				t.Fatal(err)
+			}
+		default: // move one hop toward the next stop
+			if eager.Empty() {
+				continue
+			}
+			path := w.oracle.Path(eager.Loc(), eager.NextStops()[0].Vertex)
+			if len(path) < 2 {
+				continue
+			}
+			odo := eager.Odo() + w.oracle.Dist(path[0], path[1])
+			eager.SetLocation(path[1], odo)
+			lazy.SetLocation(path[1], odo)
+			if err := eager.Validate(); err != nil {
+				t.Fatalf("seed %d step %d: eager tree invalid after moving: %v", seed, step, err)
+			}
+		}
+		costE, orderE, okE := eager.Best()
+		costL, orderL, okL := lazy.Best()
+		if okE != okL || costE != costL || !reflect.DeepEqual(orderE, orderL) {
+			t.Fatalf("seed %d step %d: eager Best (%v, %v, %v), lazy (%v, %v, %v)", seed, step, costE, orderE, okE, costL, orderL, okL)
+		}
 	}
 }

@@ -111,10 +111,10 @@ func (m *MIPScheduler) Schedule(inst *Instance) Result {
 			if i == j || j == 0 {
 				continue
 			}
-			if i > 0 && earliest[i]+g.dist[i][j] > latest[j]+slackEps {
+			if i > 0 && earliest[i]+g.dist[i][j] > latest[j] {
 				continue
 			}
-			if i == 0 && g.dist[0][j] > latest[j]+slackEps {
+			if i == 0 && g.dist[0][j] > latest[j] {
 				continue
 			}
 			if pi := rideCapIdx[i]; pi >= 0 && pi == j {
@@ -244,7 +244,7 @@ func (m *MIPScheduler) Schedule(inst *Instance) Result {
 	}
 	for i := 1; i < n; i++ {
 		for j := 1; j < n; j++ {
-			if y[i][j] < 0 || g.dist[i][j] > slackEps {
+			if y[i][j] < 0 || g.dist[i][j] > 0 {
 				continue
 			}
 			ui, uj := needU(i), needU(j)

@@ -167,16 +167,16 @@ func (w *walker) feasibleAt(s Stop, at float64) bool {
 		if w.inst.Capacity > 0 && w.onboard >= w.inst.Capacity {
 			return false
 		}
-		return at <= t.WaitDeadline+slackEps
+		return at <= t.WaitDeadline
 	}
 	if t.OnBoard {
-		return at <= t.DropDeadline+slackEps
+		return at <= t.DropDeadline
 	}
 	p := w.pickAt[s.Trip]
 	if p < 0 {
 		return false // dropoff before pickup: precedence violation
 	}
-	return at-p <= t.MaxRide+slackEps
+	return at-p <= t.MaxRide
 }
 
 // noteVisit records the visit of s at odometer `at` in the branch state.
@@ -198,10 +198,6 @@ func (w *walker) unnoteVisit(s Stop) {
 		w.onboard++
 	}
 }
-
-// slackEps absorbs floating-point noise in deadline comparisons so that a
-// schedule exactly at its deadline is accepted.
-const slackEps = 1e-6
 
 // ValidateOrder checks that order is a valid schedule for inst and returns
 // its total cost. It is the reference implementation of Definition 2 used by
@@ -246,6 +242,7 @@ func ValidateOrder(inst *Instance, oracle sp.Oracle, order []Stop) (float64, err
 // NewTripState builds a TripState for a request made when the serving
 // vehicle's odometer reads odoAtRequest: the pickup deadline is
 // odoAtRequest + wait, and the ride budget is (1+eps)·d(pickup, dropoff).
+// Both budgets are rounded down to roadnet's grid, so the tree's sums are exact.
 func NewTripState(id int64, pickup, dropoff roadnet.VertexID, wait, eps, odoAtRequest float64, oracle sp.Oracle) (TripState, error) {
 	d := oracle.Dist(pickup, dropoff)
 	if d == sp.Inf {
@@ -256,8 +253,8 @@ func NewTripState(id int64, pickup, dropoff roadnet.VertexID, wait, eps, odoAtRe
 		Pickup:       pickup,
 		Dropoff:      dropoff,
 		ShortestLen:  d,
-		MaxRide:      (1 + eps) * d,
-		WaitDeadline: odoAtRequest + wait,
+		MaxRide:      roadnet.RoundDown((1 + eps) * d),
+		WaitDeadline: odoAtRequest + roadnet.RoundDown(wait),
 	}, nil
 }
 

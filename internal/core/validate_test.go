@@ -143,11 +143,12 @@ func TestNewTripStateErrors(t *testing.T) {
 	if ts.WaitDeadline != 150 {
 		t.Fatalf("WaitDeadline %v, want 150", ts.WaitDeadline)
 	}
-	if ts.MaxRide != 1.2 {
-		t.Fatalf("MaxRide %v, want 1.2", ts.MaxRide)
+	// 1.2 m rounded down to the road network's 1/256 m grid.
+	if ts.MaxRide != 1.19921875 {
+		t.Fatalf("MaxRide %v, want 1.19921875", ts.MaxRide)
 	}
 	ts.MarkPickedUp(200)
-	if !ts.OnBoard || ts.DropDeadline != 200+1.2 {
+	if !ts.OnBoard || ts.DropDeadline != 200+1.19921875 {
 		t.Fatalf("MarkPickedUp: %+v", ts)
 	}
 }
@@ -209,9 +210,10 @@ func TestFixedDeadlineReduction(t *testing.T) {
 		t.Fatalf("WaitDeadline %v, want %v", ts.WaitDeadline, wantWait)
 	}
 	// Worst valid schedule: picked up exactly at the wait deadline, ridden
-	// at exactly (1+eps)d — completes exactly at the deadline.
-	if got := ts.WaitDeadline + ts.MaxRide; math.Abs(got-deadline) > 1e-9 {
-		t.Fatalf("worst-case completion %v != deadline %v", got, deadline)
+	// for exactly MaxRide — completes by the deadline, and short of it by
+	// at most the two budgets' rounding down to the 1/256 m grid.
+	if got := ts.WaitDeadline + ts.MaxRide; got > deadline || deadline-got > 2*roadnet.Resolution {
+		t.Fatalf("worst-case completion %v, want within %v below deadline %v", got, 2*roadnet.Resolution, deadline)
 	}
 	// Unmeetable deadline is rejected.
 	if _, err := NewTripStateWithDeadline(2, 3, 44, (1+eps)*d/2, eps, 0, w.oracle); err == nil {

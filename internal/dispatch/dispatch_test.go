@@ -68,17 +68,6 @@ func baseConfig(g *roadnet.Graph, factory OracleFactory, algo sim.Algorithm) sim
 	}
 }
 
-// floatsClose compares totals that may differ in summation order across
-// shard counts.
-func floatsClose(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= 1e-9*scale
-}
-
 func compareMetrics(t *testing.T, label string, seq, got *sim.Metrics) {
 	t.Helper()
 	if seq.Requests != got.Requests || seq.Matched != got.Matched || seq.Rejected != got.Rejected {
@@ -115,7 +104,9 @@ func compareMetrics(t *testing.T, label string, seq, got *sim.Metrics) {
 		{"TotalShortestLen", seq.TotalShortestLen, got.TotalShortestLen},
 		{"TotalVehicleMeters", seq.TotalVehicleMeters, got.TotalVehicleMeters},
 	} {
-		if !floatsClose(f.seq, f.got) {
+		// Distances lie on the 1/256 m grid, so totals are exact in any
+		// summation order and at any shard count.
+		if f.seq != f.got {
 			t.Errorf("%s: %s diverges: %v vs %v", label, f.name, f.seq, f.got)
 		}
 	}

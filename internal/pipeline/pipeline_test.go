@@ -219,10 +219,10 @@ func TestDegradedOracleNeverPoisonsCache(t *testing.T) {
 	hits0, _ := p.shared.DistStats()
 	for _, r := range reqs {
 		for _, pair := range [][2]roadnet.VertexID{{r.Pickup, r.Dropoff}, {r.Dropoff, r.Pickup}} {
-			// Bidirectional search sums the same edges in another order,
-			// so agreement is to rounding; a poisoned entry would be +Inf.
+			// Distances are exact, so the cached entry has Dijkstra's
+			// bits; a poisoned entry would be +Inf.
 			got, want := p.shared.Dist(pair[0], pair[1]), ref.Dist(pair[0], pair[1])
-			if math.Abs(got-want) > 1e-9*want {
+			if got != want {
 				t.Fatalf("cached Dist(%d,%d) = %v, Dijkstra says %v", pair[0], pair[1], got, want)
 			}
 		}

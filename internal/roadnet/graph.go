@@ -21,6 +21,22 @@ type VertexID = int32
 // (paper §VI: "approximately 48 kilometers/hour").
 const Speed = 14.0
 
+// Resolution is the grid, in meters, that every edge weight lies on: Build
+// rounds weights up to it, and budgets are rounded down with RoundDown.
+// Multiples of 2⁻⁸ add exactly in float64, in any order, while the sums
+// stay below 2⁴⁵ m, so every shortest-path engine returns the same bits
+// for a pair and every arrival, deadline and slack compares exactly.
+const Resolution = 1.0 / 256
+
+// RoundDown returns the largest multiple of Resolution at or below m.
+// From 2⁴⁴ on every float64 is one already; ±Inf and NaN pass through.
+func RoundDown(m float64) float64 {
+	if !(math.Abs(m) < 1<<44) {
+		return m
+	}
+	return math.Floor(m/Resolution) * Resolution
+}
+
 // Graph is an undirected weighted road network stored in CSR form.
 // The zero value is an empty graph; use a Builder to construct one.
 //
@@ -133,7 +149,8 @@ func (b *Builder) AddEdge(u, v VertexID, w float64) {
 func (b *Builder) NumVertices() int { return len(b.xs) }
 
 // Build validates the accumulated vertices and edges and returns the Graph.
-// Duplicate edges are collapsed keeping the minimum weight.
+// Weights are rounded up to the Resolution grid (so one at least the
+// Euclidean length stays so), and duplicates keep the minimum weight.
 func (b *Builder) Build() (*Graph, error) {
 	n := len(b.xs)
 	for i := range b.us {
@@ -157,9 +174,9 @@ func (b *Builder) Build() (*Graph, error) {
 		if u > v {
 			u, v = v, u
 		}
-		k := key{u, v}
-		if old, ok := dedup[k]; !ok || b.ws[i] < old {
-			dedup[k] = b.ws[i]
+		k, w := key{u, v}, -RoundDown(-b.ws[i]) // rounded up
+		if old, ok := dedup[k]; !ok || w < old {
+			dedup[k] = w
 		}
 	}
 

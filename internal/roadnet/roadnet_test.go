@@ -54,6 +54,41 @@ func TestBuilderDeduplicatesEdges(t *testing.T) {
 	}
 }
 
+// TestWeightsOnGrid: Build rounds every weight up to the 1/256 m grid
+// before keeping the lightest duplicate, leaves a weight already on it
+// alone, and RoundDown rounds a budget the other way.
+func TestWeightsOnGrid(t *testing.T) {
+	b := NewBuilder(5)
+	b.AddEdge(0, 1, 1.0001)
+	b.AddEdge(1, 2, 1e-300)
+	b.AddEdge(2, 3, 3.5)
+	b.AddEdge(3, 4, 1<<50+0.5) // above the grid's reach: already a multiple
+	b.AddEdge(4, 3, 1<<50)     // lighter duplicate
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		u, v VertexID
+		want float64
+	}{{0, 1, 1 + Resolution}, {1, 2, Resolution}, {2, 3, 3.5}, {3, 4, 1 << 50}} {
+		if w, _ := g.EdgeWeight(c.u, c.v); w != c.want {
+			t.Errorf("EdgeWeight(%d,%d) = %v, want %v", c.u, c.v, w, c.want)
+		}
+	}
+	for _, c := range []struct{ in, want float64 }{
+		{1.2, 1.19921875}, {3.5, 3.5}, {-0.001, -Resolution}, {0, 0},
+		{1 << 50, 1 << 50}, {math.Inf(1), math.Inf(1)},
+	} {
+		if got := RoundDown(c.in); got != c.want {
+			t.Errorf("RoundDown(%v) = %v, want %v", c.in, got, c.want)
+		}
+	}
+	if got := RoundDown(math.NaN()); !math.IsNaN(got) {
+		t.Errorf("RoundDown(NaN) = %v", got)
+	}
+}
+
 func TestGridShape(t *testing.T) {
 	g, err := Grid(GridOptions{Rows: 10, Cols: 15, Spacing: 100, Seed: 1})
 	if err != nil {

@@ -159,7 +159,7 @@ func (w *Worker) accountStop(v *Vehicle, kind core.StopKind, tr core.TripState, 
 		}
 		// The trip state carries its own (possibly individualized)
 		// waiting deadline.
-		if at > tr.WaitDeadline+1 {
+		if at > tr.WaitDeadline {
 			w.metrics.Violations++
 		}
 	case core.Dropoff:
@@ -170,7 +170,7 @@ func (w *Worker) accountStop(v *Vehicle, kind core.StopKind, tr core.TripState, 
 			ride := at - pOdo
 			w.metrics.TotalRideMeters += ride
 			w.metrics.TotalShortestLen += tr.ShortestLen
-			if ride > tr.MaxRide+1 {
+			if ride > tr.MaxRide {
 				w.metrics.Violations++
 			}
 			delete(v.pickupOdo, tr.ID)

@@ -71,27 +71,16 @@ func NewALT(g *roadnet.Graph, k int) *ALT {
 // NumLandmarks returns the number of landmarks actually selected.
 func (a *ALT) NumLandmarks() int { return len(a.landmarks) }
 
-// lowerSlack is the relative margin Lower subtracts to stay below every
-// engine's answer, not just the exact one. Engines sum a path's edges in
-// different orders (bidirectional meets in the middle, hub labels add two
-// halves), so two answers for one pair may differ in the last bits, and a
-// landmark difference d(L,u) − d(L,v) carries the rounding of both of its
-// terms. Summing k edges in any order errs by at most about k·2⁻⁵³ of the
-// total, and each term here is at most d(L,u) + d(L,v); 1e-9 of that covers
-// paths of over a million edges and costs the bound about a micrometre per
-// kilometre.
-const lowerSlack = 1e-9
-
 // Lower returns a lower bound on the distance from u to v over every
-// landmark, max_L |d(L,u) − d(L,v)| less lowerSlack, without searching: 0
-// when no landmark reaches both, never NaN. It holds against every
-// engine's Dist, bit for bit, not just the Dijkstra that built the tables
-// (TestLowerBoundsEveryEngine). Safe for concurrent use: it only reads the
-// index.
+// landmark, max_L |d(L,u) − d(L,v)|, without searching: 0 when no landmark
+// reaches both, never NaN. Weights on the road network's grid make every
+// engine's Dist and every landmark distance exact, so the bound holds
+// against each engine bit for bit (TestLowerBoundsEveryEngine). Safe for
+// concurrent use: it only reads the index.
 func (a *ALT) Lower(u, v roadnet.VertexID) float64 {
 	best := 0.0
-	for li, d := range a.distTo {
-		if b := a.gap(li, u, v) - lowerSlack*(d[u]+d[v]); b > best {
+	for li := range a.distTo {
+		if b := a.gap(li, u, v); b > best {
 			best = b
 		}
 	}

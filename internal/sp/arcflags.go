@@ -98,7 +98,7 @@ func NewArcFlags(g *roadnet.Graph, gridDim int) *ArcFlags {
 			ts, ws := g.Neighbors(roadnet.VertexID(u))
 			for i, t := range ts {
 				// Edge (u,t) is tight toward b if d(u,b) = w + d(t,b).
-				if math.Abs(db[u]-(ws[i]+db[t])) < 1e-9 {
+				if db[u] == ws[i]+db[t] {
 					a.flags[a.bases[u]+i] |= bit
 				}
 			}

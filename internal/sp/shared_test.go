@@ -1,7 +1,6 @@
 package sp
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -49,7 +48,7 @@ func TestSharedOraclesConcurrent(t *testing.T) {
 						state = state*6364136223846793005 + 1442695040888963407
 						u := roadnet.VertexID(uint64(state>>16) % uint64(n))
 						v := roadnet.VertexID(uint64(state>>40) % uint64(n))
-						if got, want := o.Dist(u, v), ref.Dist(u, v); math.Abs(got-want) > 1e-6 {
+						if got, want := o.Dist(u, v), ref.Dist(u, v); got != want {
 							t.Errorf("Dist(%d,%d) = %v, want %v", u, v, got, want)
 							return
 						}

@@ -14,6 +14,7 @@ import (
 )
 
 // WriteCSV writes requests as "id,time,pickup,dropoff" rows with a header.
+// Times are written round-trip exact, so ReadCSV replays the same stream.
 func WriteCSV(w io.Writer, reqs []sim.Request) error {
 	bw := bufio.NewWriter(w)
 	cw := csv.NewWriter(bw)
@@ -24,7 +25,7 @@ func WriteCSV(w io.Writer, reqs []sim.Request) error {
 		r := &reqs[i]
 		rec := []string{
 			strconv.FormatInt(r.ID, 10),
-			strconv.FormatFloat(r.Time, 'f', 3, 64),
+			strconv.FormatFloat(r.Time, 'g', -1, 64),
 			strconv.FormatInt(int64(r.Pickup), 10),
 			strconv.FormatInt(int64(r.Dropoff), 10),
 		}

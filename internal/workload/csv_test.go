@@ -2,8 +2,6 @@ package workload
 
 import (
 	"bytes"
-	"math"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -50,8 +48,8 @@ func TestCSVRoundTrip(t *testing.T) {
 		if got[i].ID != reqs[i].ID || got[i].Pickup != reqs[i].Pickup || got[i].Dropoff != reqs[i].Dropoff {
 			t.Fatalf("request %d differs after round trip", i)
 		}
-		if math.Abs(got[i].Time-reqs[i].Time) > 0.01 {
-			t.Fatalf("request %d time drifted: %f vs %f", i, got[i].Time, reqs[i].Time)
+		if got[i].Time != reqs[i].Time {
+			t.Fatalf("request %d time drifted: %v vs %v", i, got[i].Time, reqs[i].Time)
 		}
 	}
 }
@@ -104,8 +102,8 @@ func TestReadCSVSortsTiesByID(t *testing.T) {
 
 // FuzzReadCSV: no input makes ReadCSV panic, and whatever it accepts is in
 // (Time, ID) order with unique IDs and in-range vertices, and survives a
-// WriteCSV/ReadCSV round trip with times rounded to the written
-// millisecond. The seed corpus lives under testdata/fuzz.
+// WriteCSV/ReadCSV round trip unchanged, times bit for bit. The seed corpus
+// lives under testdata/fuzz.
 func FuzzReadCSV(f *testing.F) {
 	g := csvGraph(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -145,8 +143,7 @@ func FuzzReadCSV(f *testing.F) {
 			if !ok {
 				t.Fatalf("round trip invented id %d", r.ID)
 			}
-			wantT, _ := strconv.ParseFloat(strconv.FormatFloat(want.Time, 'f', 3, 64), 64)
-			if r.Time != wantT || r.Pickup != want.Pickup || r.Dropoff != want.Dropoff {
+			if r.Time != want.Time || r.Pickup != want.Pickup || r.Dropoff != want.Dropoff {
 				t.Fatalf("round trip changed %+v into %+v", want, r)
 			}
 		}
